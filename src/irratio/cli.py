@@ -104,10 +104,7 @@ def cmd_digits(args) -> int:
     if args.constant == "e":
         iv = series.e_enclosure(args.digits).value
     else:
-        if args.method == "archimedes":
-            iv = pi_engine.pi_enclosure(args.digits, "archimedes").value
-        else:
-            iv = pi_engine.pi_by_cos_root(args.digits).value
+        iv = pi_engine.pi_enclosure(args.digits, args.method).value
     print(to_decimal(iv, args.digits))
     return EXIT_OK
 
@@ -247,8 +244,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("digits", help="certified decimal digits of e or pi")
     p.add_argument("constant", choices=["e", "pi"])
     p.add_argument("--digits", type=int, default=10)
-    p.add_argument("--method", choices=["cos-root", "archimedes"],
-                   default="cos-root")
+    p.add_argument("--method", choices=["machin", "cos-root", "archimedes"],
+                   default="machin")
     p.set_defaults(func=cmd_digits)
 
     p = sub.add_parser("witness", help="contradiction certificate for a "

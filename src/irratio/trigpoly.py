@@ -140,11 +140,35 @@ def pirat_substitute_pi2(L: PiRat, t: ScalarLike) -> Fraction:
 
 
 def pirat_eval_interval(L: PiRat, pi_iv: RationalInterval) -> RationalInterval:
-    """Interval containing L(pi) for every pi in pi_iv."""
-    out = RationalInterval(0, 0)
-    for e, c in L.items():
-        out = out + pi_iv.power(e) * RationalInterval(c)
-    return out
+    """Interval containing L(pi) for every pi in pi_iv.
+
+    Horner's rule runs over the Laurent range, L = pi**e_min · Q(pi), in
+    steps of pi**2 when all exponents share one parity (the witness case)
+    and of pi otherwise.  Each step is rounded outward to the dyadic grid
+    2**-bits: bits covers the width of pi_iv, plus bit_length(ceil|x|)
+    guard bits per step (a rounding error is multiplied by at most |x| per
+    later step) and 16 more.  A point pi_iv is evaluated exactly.
+    """
+    items = L.items()
+    if not items:
+        return RationalInterval(0)
+    low, high = items[0][0], items[-1][0]
+    step = 2 if all((e - low) % 2 == 0 for e, _ in items) else 1
+    x = pi_iv.power(step)
+    width = pi_iv.width
+    bits = None
+    if width:
+        steps = (high - low) // step
+        magnitude = max(abs(x.lo), abs(x.hi)).__ceil__()
+        inverse = -(-width.denominator // width.numerator)
+        bits = inverse.bit_length() + steps * magnitude.bit_length() + 16
+    acc = RationalInterval(0)
+    for e in range(high, low - 1, -step):
+        acc = acc * x + L.coeff(e)
+        if bits is not None:
+            acc = acc.simplify(bits)
+    acc = acc * pi_iv.power(low)
+    return acc if bits is None else acc.simplify(bits)
 
 
 class PiPoly:

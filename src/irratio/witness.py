@@ -33,6 +33,11 @@ DEFAULT_MAX_PI_DIGITS = 4096
 # 22/7 is used as the certified rational upper bound of pi when selecting n.
 PI_UPPER_BOUND = Fraction(22, 7)
 
+# Factor by which the pi precision of the witness undercuts the bare
+# cancellation bound: the enclosure of I comes out narrower than 2**-32·I,
+# not merely narrower than I.
+PRECISION_GUARD = 1 << 32
+
 
 @lru_cache(maxsize=1)
 def _certify_pi_upper_bound() -> bool:
@@ -136,9 +141,40 @@ class PiWitnessReport:
     pi_digits: int
 
 
+def _pi_digits_up_front(I_exact: PiRat, a: int, n: int) -> int:
+    """Digits of pi for which one evaluation of I_exact certifies 0 < I < bound.
+
+    With t = pi**2 and m = -(lowest exponent)/2 >= 1, I·pi**(2m) = Σ c_j t**j.
+    Over a pi enclosure of width w < 10**-10 (so 9 < t < 10), Horner in t,
+    its rounding and the division by t**m widen I by less than B·w, where
+    B = Σ|c_j|·10**j·(j+1) bounds the cancellation.  On [1/4, 3/4],
+    f >= (3/16)**n/n!, sin(pi x) > 7/10 and pi > 3, so
+    I >= I_low = (21/20)·a**n·(3/16)**n/n!.  The result d is the least with
+    10**d > PRECISION_GUARD·B/I_low; the enclosure then lies in
+    I·(1 ± 2**-32), inside (0, bound) because I < pi·a**n/(4**n·n!).
+    """
+    m = -min(I_exact.exponents) // 2
+    B = sum(abs(c) * 10 ** j * (j + 1)
+            for j, c in ((e // 2 + m, c) for e, c in I_exact.items()))
+    I_low = Fraction(21 * (3 * a) ** n, 20 * 16 ** n * factorial(n))
+    ratio = PRECISION_GUARD * B / I_low
+    digits, power = 1, 10
+    while power <= ratio:
+        digits += 1
+        power *= 10
+    return digits
+
+
 def pi_witness(a: int, b: int, n_override: int | None = None,
                max_pi_digits: int = DEFAULT_MAX_PI_DIGITS) -> PiWitnessReport:
-    """Full contradiction certificate for the candidate pi**2 = a/b."""
+    """Full contradiction certificate for the candidate pi**2 = a/b.
+
+    The symbolic stage gives I exactly as a Laurent polynomial in pi and N
+    by two independent routes.  The numeric stage is one pass: the pi
+    precision is fixed up front from a cancellation bound, pi is enclosed
+    once and I is evaluated once.  PrecisionExhausted is raised before any
+    evaluation when that precision exceeds max_pi_digits.
+    """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive integers")
     n = choose_niven_n(a, b)
@@ -156,6 +192,12 @@ def pi_witness(a: int, b: int, n_override: int | None = None,
     assert all(e % 2 == 0 for e in exps), "I must involve only even pi-powers"
     assert all(-(2 * n + 2) <= e <= 2 for e in exps), "pi-exponent out of range"
 
+    digits = _pi_digits_up_front(I_exact, a, n)
+    if digits > max_pi_digits:
+        raise PrecisionExhausted(
+            f"candidate {a}/{b} needs {digits} digits of pi, "
+            f"over the cap {max_pi_digits}")
+
     candidate = Fraction(a, b)
     N_direct = pirat_substitute_pi2(I_exact, candidate)
     assert N_direct.denominator == 1, "N must be an exact integer"
@@ -172,18 +214,11 @@ def pi_witness(a: int, b: int, n_override: int | None = None,
     upper_bound = PI_UPPER_BOUND * a ** n / factorial(n)
     assert upper_bound < 1
 
-    digits = 10 + n
-    enclosure = None
-    while digits <= max_pi_digits:
-        pi_iv = pi_enclosure(digits).value
-        # outward dyadic rounding keeps report endpoints readable
-        enclosure = pirat_eval_interval(I_exact, pi_iv).simplify(4 * digits)
-        if 0 < enclosure.lo and enclosure.hi < upper_bound:
-            break
-        digits *= 2
-    else:
+    enclosure = pirat_eval_interval(I_exact, pi_enclosure(digits).value)
+    if not (0 < enclosure.lo and enclosure.hi < upper_bound):
         raise PrecisionExhausted(
-            f"pi precision cap {max_pi_digits} reached for candidate {a}/{b}")
+            f"{digits} digits of pi, fixed up front, did not certify "
+            f"0 < I < {upper_bound} for candidate {a}/{b}")
 
     contradiction = N <= 0 or N >= 1 or not enclosure.contains(N)
     verdict = CONTRADICTION if contradiction else INCONCLUSIVE

@@ -1,6 +1,8 @@
 import json
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from irratio.cli import (parse_fraction, parse_interval_dict, run,
@@ -8,6 +10,29 @@ from irratio.cli import (parse_fraction, parse_interval_dict, run,
 from irratio.witness import e_witness, pi_witness
 
 F = Fraction
+
+
+def _pi_decimals(digits: int) -> str:
+    """pi truncated to `digits` decimals, from mpmath."""
+    with mpmath.workdps(digits + 20):
+        scaled = int(mpmath.floor(mpmath.pi * mpmath.mpf(10) ** digits))
+    text = str(scaled)
+    return text[0] + "." + text[1:]
+
+
+def _pi_quotients(depth: int) -> list[int]:
+    """Continued-fraction quotients shared by the ends of a 3·depth+40
+    digit mpmath bracket of pi."""
+    digits = 3 * depth + 40
+    with mpmath.workdps(digits + 10):
+        scaled = int(mpmath.floor(mpmath.pi * mpmath.mpf(10) ** digits))
+    lo, hi = F(scaled, 10 ** digits), F(scaled + 1, 10 ** digits)
+    out = []
+    while len(out) < depth and math.floor(lo) == math.floor(hi):
+        q = math.floor(lo)
+        out.append(q)
+        lo, hi = 1 / (hi - q), 1 / (lo - q)
+    return out
 
 
 class TestParsing:
@@ -26,6 +51,13 @@ class TestDigitsCommand:
         assert run(["digits", "pi", "--digits", "6"]) == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("3.141592")
+        assert run(["digits", "pi", "--digits", "150"]) == 0
+        assert capsys.readouterr().out.strip() == _pi_decimals(150) + "…"
+
+    @pytest.mark.parametrize("method", ["machin", "cos-root"])
+    def test_pi_methods(self, capsys, method):
+        assert run(["digits", "pi", "--digits", "6", "--method", method]) == 0
+        assert capsys.readouterr().out.strip() == _pi_decimals(6) + "…"
 
     def test_pi_archimedes(self, capsys):
         assert run(["digits", "pi", "--digits", "6", "--method", "archimedes"]) == 0
@@ -110,6 +142,12 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "[3, 7, 15, 1, 292]" in out
         assert "355/113" in out
+
+    def test_cf_pi_depth_50(self, capsys):
+        assert run(["cf", "pi", "--depth", "50"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == f"quotients: {_pi_quotients(50)}"
+        assert lines[-1] == "certified depth: 50"
 
     def test_cf_e(self, capsys):
         assert run(["cf", "e", "--depth", "8"]) == 0

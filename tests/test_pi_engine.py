@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irratio.numbers import RationalInterval
 from irratio.pi_engine import (archimedes_bounds, continued_fraction,
@@ -64,9 +67,46 @@ class TestCrossMethod:
     def test_methods_agree(self, digits):
         a = pi_by_cos_root(digits).value
         b = pi_enclosure(digits, "archimedes").value
-        overlap = a.intersect(b)
+        c = pi_enclosure(digits, "machin").value
+        overlap = a.intersect(b).intersect(c)
         assert a.contains(overlap.midpoint)
         assert b.contains(overlap.midpoint)
+        assert c.contains(overlap.midpoint)
+
+
+def _check_machin(digits: int) -> None:
+    """The Machin enclosure is narrower than 10**-digits and contains pi,
+    compared at a binary precision at which mpmath holds both dyadic
+    endpoints exactly."""
+    iv = pi_enclosure(digits).value
+    assert iv.width < F(1, 10 ** digits)
+    bits = max(iv.lo.numerator.bit_length(), iv.hi.numerator.bit_length())
+    with mpmath.workprec(bits + 64):
+        lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+        hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+        assert lo < mpmath.pi < hi
+
+
+class TestMachin:
+    def test_is_default(self):
+        assert pi_enclosure(10).method == "machin"
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(min_value=1, max_value=2000))
+    def test_contains_pi_and_is_narrow(self, digits):
+        _check_machin(digits)
+
+    @pytest.mark.parametrize("digits", [72, 1000, 4096])
+    def test_explicit_precisions(self, digits):
+        _check_machin(digits)
+
+    def test_invalid_precision(self):
+        with pytest.raises(ValueError):
+            pi_enclosure(0)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            pi_enclosure(5, "leibniz")
 
 
 class TestRhind:

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from irratio import witness
 from irratio.combinatorics import factorial
-from irratio.pi_engine import PrecisionExhausted
+from irratio.pi_engine import PrecisionExhausted, pi_enclosure
 from irratio.polynomials import niven_poly, nth_derivative
 from irratio.trigpoly import (PiPoly, PiRat, antiderivative_p_sin,
                               definite_01, pirat_substitute_pi2)
@@ -11,6 +13,34 @@ from irratio.witness import (CONTRADICTION, build_g, choose_niven_n,
                              e_witness, pi_witness, verify_ode_identity)
 
 F = Fraction
+
+
+def closed_form_N(a: int, b: int, n: int) -> int:
+    """N = b^n Σ_k (-1)^k (a/b)^(n-k)·2f^(2k)(0) for the Niven polynomial
+    f of index n, where f^(l)(0) = (-1)^(l-n)·C(n, l-n)·l!/n! for n <= l."""
+    total = 0
+    for k in range(n + 1):
+        ell = 2 * k
+        if ell < n:
+            continue
+        f_at_0 = ((-1) ** (ell - n) * math.comb(n, ell - n)
+                  * math.factorial(ell) // math.factorial(n))
+        total += (-1) ** k * a ** (n - k) * b ** k * 2 * f_at_0
+    return total
+
+
+@pytest.fixture
+def pi_requests(monkeypatch):
+    """Digits of every pi_enclosure call made by the witness module."""
+    choose_niven_n(1, 1)  # certifies 22/7 once, outside the count
+    requested = []
+
+    def counting(precision_digits, *args, **kwargs):
+        requested.append(precision_digits)
+        return pi_enclosure(precision_digits, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "pi_enclosure", counting)
+    return requested
 
 
 class TestChooseNivenN:
@@ -121,6 +151,24 @@ class TestPiWitness:
     def test_invalid_candidate(self):
         with pytest.raises(ValueError):
             pi_witness(0, 1)
+
+    def test_cap_raises_before_evaluation(self, pi_requests):
+        with pytest.raises(PrecisionExhausted):
+            pi_witness(10, 1, max_pi_digits=8)
+        assert pi_requests == []
+
+
+class TestPiWitnessOnePass:
+    @pytest.mark.parametrize("a, b", [(11, 1), (11, 6), (12, 5), (12, 7),
+                                      (20, 3), (20, 7)])
+    def test_beyond_benchmark_range(self, a, b, pi_requests):
+        r = pi_witness(a, b)
+        assert r.n == choose_niven_n(a, b)
+        assert r.verdict == CONTRADICTION
+        assert r.N == closed_form_N(a, b, r.n)
+        assert r.I_enclosure.strictly_inside(0, r.upper_bound)
+        assert pi_requests == [r.pi_digits]
+        assert r.pi_digits == witness._pi_digits_up_front(r.I_exact, a, r.n)
 
 
 class TestEWitness:
