@@ -7,6 +7,7 @@ which this module computes and asserts rather than assumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -98,8 +99,7 @@ def derivative(p: Poly) -> Poly:
 
 
 def nth_derivative(p: Poly, l: int) -> Poly:
-    """l-fold derivative, cross-checked on monomials against the closed
-    form n!/(n-l)! x^(n-l)."""
+    """l-fold derivative, by l applications of the power rule."""
     if l < 0:
         raise ValueError("derivative order must be non-negative")
     q = p
@@ -109,15 +109,17 @@ def nth_derivative(p: Poly, l: int) -> Poly:
 
 
 def reflect(p: Poly) -> Poly:
-    """q with q(x) = p(1-x), via expansion of powers of (1-x)."""
-    one_minus_x = Poly([1, -1])
-    out = Poly()
-    pw = Poly([1])
-    for c in p.coeffs:
-        if c != 0:
-            out = out + pw * c
-        pw = pw * one_minus_x
-    return out
+    """q with q(x) = p(1-x): q_j = (-1)^j Σ_{i>=j} C(i, j)·c_i.
+
+    The sums run over integer numerators on the common denominator of the
+    c_i, so the cost is quadratic in the degree with one Fraction per q_j.
+    """
+    cs = p.coeffs
+    den = math.lcm(*(c.denominator for c in cs))
+    nums = [c.numerator * (den // c.denominator) for c in cs]
+    return Poly(Fraction((-1) ** j * sum(math.comb(i, j) * nums[i]
+                                         for i in range(j, len(cs))), den)
+                for j in range(len(cs)))
 
 
 def niven_poly(n: int) -> Poly:
@@ -154,11 +156,13 @@ def niven_endpoint_derivatives(n: int) -> EndpointDerivatives:
     """Endpoint derivative tables of the Niven polynomial.
 
     f^(l)(0) = l! * coeff_l; values at 1 come from the reflection
-    f(1-x) = f(x) with the chain-rule sign (-1)^l.  Every value is checked
-    to be an integer and, for n <= l <= 2n, checked against the closed form
-    C(n, l-n) (-1)^(n-l) l!/n!.
+    f(1-x) = f(x) with the chain-rule sign (-1)^l.  f is checked to have
+    degree 2n, so f^(l) = 0 for l > 2n and the tables hold every non-zero
+    derivative.  Every value is checked to be an integer and, for
+    n <= l <= 2n, checked against the closed form C(n, l-n) (-1)^(n-l) l!/n!.
     """
     f = niven_poly(n)
+    assert f.degree == 2 * n, "Niven polynomial must have degree 2n"
     refl = reflect(f)
     assert refl == f, "Niven polynomial must be symmetric under x -> 1-x"
     at0: list[int] = []

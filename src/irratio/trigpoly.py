@@ -266,7 +266,10 @@ def antiderivative_p_sin(p: PiPoly | Poly) -> TrigPoly:
 
     Closed form: sin-part p'/pi^2 - p'''/pi^4 + ..., cos-part
     -p/pi + p''/pi^3 - ...; the construction is verified symbolically by
-    differentiating the result.
+    differentiating the result.  pi_witness does not build it: it reads
+    the integral off the Niven endpoint-derivative tables, and this full
+    antiderivative, with definite_01, is the reference that route is
+    tested against.
     """
     if isinstance(p, Poly):
         p = PiPoly.from_poly(p)

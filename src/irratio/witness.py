@@ -2,9 +2,11 @@
 
 For a candidate pi**2 = a/b the Niven pipeline produces the exact integer
 N the proof would force into existence together with a rigorous enclosure
-of the integral I that pins I into (0,1); N is computed along two fully
-independent routes (substitution into the exact integral, and endpoint
-evaluation of the auxiliary polynomial g) and cross-asserted.
+of the integral I that pins I into (0,1).  I is exact in closed form, read
+off the integer endpoint-derivative tables of the Niven polynomial f; N is
+computed along two independent routes (substitution into that closed form,
+and endpoint evaluation of the auxiliary polynomial g built by repeated
+differentiation of f) and cross-asserted.
 
 For e = a/b the certificate is the integer M = n!·a/b - sum_{k<=n} n!/k!
 with n = b, against the enclosure of n!(e - partial sum) in (0, 1/n).
@@ -19,11 +21,10 @@ from functools import lru_cache
 from .combinatorics import factorial
 from .numbers import RationalInterval
 from .pi_engine import PrecisionExhausted, pi_enclosure
-from .polynomials import niven_poly, nth_derivative
+from .polynomials import niven_endpoint_derivatives, niven_poly, nth_derivative
 from .series import e_enclosure
-from .trigpoly import (PiPoly, PiRat, TrigPoly, antiderivative_p_sin,
-                       definite_01, pirat_eval_interval, pirat_substitute_pi2,
-                       trig_derivative)
+from .trigpoly import (PiPoly, PiRat, TrigPoly, pirat_eval_interval,
+                       pirat_substitute_pi2, trig_derivative)
 
 CONTRADICTION = "CONTRADICTION"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -63,18 +64,22 @@ def choose_niven_n(a: int, b: int) -> int:
 
 def build_g(a: int, b: int, n: int) -> PiPoly:
     """g(x) = b**n · sum_k (-1)^k pi^(2n-2k) f^(2k)(x) for f the Niven
-    polynomial of index n; only even pi-powers 0..2n occur."""
+    polynomial of index n; only even pi-powers 0..2n occur.
+
+    The x**i coefficient of g is built as one PiRat with the terms
+    {2n-2k: (-1)^k b**n (f^(2k))_i}, so the cost is quadratic in n.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = niven_poly(n)
     bn = b ** n
-    g = PiPoly()
-    d = f
+    terms: list[dict[int, Fraction]] = [{} for _ in range(2 * n + 1)]
+    d = niven_poly(n)
     for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        g = g + PiPoly.from_poly(d, PiRat.term(sign * bn, 2 * n - 2 * k))
+        scale = -bn if k % 2 else bn
+        for i, c in enumerate(d.coeffs):
+            terms[i][2 * n - 2 * k] = scale * c
         d = nth_derivative(d, 2)
-    return g
+    return PiPoly(PiRat(t) for t in terms)
 
 
 @dataclass(frozen=True)
@@ -169,11 +174,17 @@ def pi_witness(a: int, b: int, n_override: int | None = None,
                max_pi_digits: int = DEFAULT_MAX_PI_DIGITS) -> PiWitnessReport:
     """Full contradiction certificate for the candidate pi**2 = a/b.
 
-    The symbolic stage gives I exactly as a Laurent polynomial in pi and N
-    by two independent routes.  The numeric stage is one pass: the pi
-    precision is fixed up front from a cancellation bound, pi is enclosed
-    once and I is evaluated once.  PrecisionExhausted is raised before any
-    evaluation when that precision exceeds max_pi_digits.
+    The symbolic stage gives I exactly as a Laurent polynomial in pi from
+    the closed form of repeated integration by parts,
+    ∫01 f sin(pi x) dx = Σ_k (-1)^k (f^(2k)(0) + f^(2k)(1)) / pi^(2k+1),
+    whose endpoint values are the integer tables of
+    niven_endpoint_derivatives.  N follows by two independent routes:
+    substituting pi**2 = a/b into I, and g(0) + g(1) with g from build_g,
+    which differentiates f and never reads the tables.  The numeric stage
+    is one pass: the pi precision is fixed up front from a cancellation
+    bound, pi is enclosed once and I is evaluated once.  PrecisionExhausted
+    is raised when that precision exceeds max_pi_digits, before g is built
+    and before any evaluation.
     """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive integers")
@@ -184,10 +195,12 @@ def pi_witness(a: int, b: int, n_override: int | None = None,
                 f"n_override={n_override} violates (22/7)·a^n/n! < 1")
         n = n_override
 
-    f = niven_poly(n)
-    T = antiderivative_p_sin(f)
-    integral = definite_01(T)  # exact value of ∫01 f·sin(pi x) dx
-    I_exact = integral.shift(1) * (a ** n)
+    # The tables hold f^(l) at 0 and 1 for l = 0..2n and assert deg f = 2n,
+    # so f^(2n+1) = 0 and the integration by parts ends inside them.
+    ends = niven_endpoint_derivatives(n)
+    at0, at1, an = ends.at0, ends.at1, a ** n
+    I_exact = PiRat({-2 * k: (-1) ** k * an * (at0[2 * k] + at1[2 * k])
+                     for k in range(n + 1)})
     exps = I_exact.exponents
     assert all(e % 2 == 0 for e in exps), "I must involve only even pi-powers"
     assert all(-(2 * n + 2) <= e <= 2 for e in exps), "pi-exponent out of range"

@@ -7,6 +7,7 @@ import pytest
 
 from irratio.cli import (parse_fraction, parse_interval_dict, run,
                          e_witness_report_dict, pi_witness_report_dict)
+from irratio import witness
 from irratio.witness import e_witness, pi_witness
 
 F = Fraction
@@ -123,6 +124,16 @@ class TestWitnessCommand:
 
     def test_invalid_override(self, capsys):
         assert run(["witness", "pi2", "10/1", "--n", "5"]) == 1
+
+    def test_pi2_cap_before_g(self, capsys, monkeypatch):
+        # n = 270: the digits cap must stop the run before g is built
+        def unreachable(*args):
+            raise AssertionError("build_g called past the digits cap")
+
+        monkeypatch.setattr(witness, "build_g", unreachable)
+        monkeypatch.setenv("IRRATIO_MAX_DIGITS", "50")
+        assert run(["witness", "pi2", "100/1"]) == 2
+        assert "needs 1450 digits" in capsys.readouterr().err
 
 
 class TestOtherCommands:

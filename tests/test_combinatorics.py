@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irratio.combinatorics import (binomial, binomial_expand, dominance_index,
                                    factorial, growth_table, pascal_rows,
@@ -31,7 +34,8 @@ class TestBinomial:
             binomial(3, 4)
 
     def test_closed_form_equals_recursion(self):
-        # the dual-route assertion lives inside binomial(); exercise it
+        # binomial() asserts its closed form against math.comb; Pascal's
+        # rule checks it by a route independent of both
         for n in range(31):
             for k in range(n + 1):
                 if 0 < k < n:
@@ -39,6 +43,13 @@ class TestBinomial:
                         binomial(n - 1, k - 1) + binomial(n - 1, k)
                 else:
                     assert binomial(n, k) == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(min_value=0, max_value=300).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_matches_math_comb(self, nk):
+        n, k = nk
+        assert binomial(n, k) == math.comb(n, k)
 
 
 class TestPascal:

@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irratio.combinatorics import binomial, factorial
 from irratio.polynomials import (Poly, derivative, niven_endpoint_derivatives,
@@ -10,10 +11,8 @@ from irratio.polynomials import (Poly, derivative, niven_endpoint_derivatives,
 
 F = Fraction
 
-
-def rand_poly(rng, max_degree=30):
-    return Poly([F(rng.randint(-9, 9), rng.randint(1, 5))
-                 for _ in range(rng.randint(0, max_degree + 1))])
+rationals = st.fractions(max_denominator=10 ** 6)
+polys = st.lists(rationals, max_size=40).map(Poly)
 
 
 class TestEval:
@@ -71,11 +70,15 @@ class TestReflect:
     def test_niven_symmetry(self):
         assert reflect(niven_poly(2)) == niven_poly(2)
 
-    def test_involution(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            p = rand_poly(rng)
-            assert reflect(reflect(p)) == p
+    @settings(deadline=None, max_examples=100)
+    @given(polys)
+    def test_involution(self, p):
+        assert reflect(reflect(p)) == p
+
+    @settings(deadline=None, max_examples=100)
+    @given(polys, rationals)
+    def test_value_at_one_minus_x(self, p, x):
+        assert reflect(p)(x) == p(1 - x)
 
 
 class TestNivenPoly:

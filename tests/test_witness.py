@@ -171,6 +171,24 @@ class TestPiWitnessOnePass:
         assert r.pi_digits == witness._pi_digits_up_front(r.I_exact, a, r.n)
 
 
+class TestPiWitnessClosedForm:
+    def test_n134(self):
+        r = pi_witness(50, 1)
+        assert r.n == 134
+        assert r.verdict == CONTRADICTION
+        assert r.N == closed_form_N(50, 1, 134)
+
+    def test_tables_match_antiderivative(self):
+        # the old symbolic route, TrigPoly antiderivative and endpoint
+        # evaluation, is the oracle for I_exact; n = 1, 2 admit no candidate
+        for n in range(3, 31):
+            a = max(a for a in range(1, 11)
+                    if F(22, 7) * a ** n < factorial(n))
+            r = pi_witness(a, 1, n_override=n)
+            assert r.I_exact == definite_01(
+                antiderivative_p_sin(niven_poly(n))).shift(1) * a ** n
+
+
 class TestEWitness:
     def test_nineteen_sevenths(self):
         r = e_witness(19, 7)
