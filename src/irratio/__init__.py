@@ -5,13 +5,13 @@ enclosure: an interval with rational endpoints certified to contain the
 true real value.
 """
 
-from .numbers import RationalInterval, iv_arith, iv_sqrt, rat_arith, to_decimal
+from .numbers import RationalInterval, iv_sqrt, to_decimal
 from .combinatorics import (binomial, binomial_expand, dominance_index,
                             factorial, growth_table, pascal_rows,
                             sqrt_rationality)
 from .polynomials import (EndpointDerivatives, Poly, derivative,
                           niven_endpoint_derivatives, niven_poly,
-                          nth_derivative, poly_eval, reflect)
+                          nth_derivative, reflect)
 from .series import (Enclosure, cos_enclosure, e_enclosure,
                      e_sandwich_enclosure, exp_enclosure, sandwich_check,
                      sin_enclosure, squeeze_check)

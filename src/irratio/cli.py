@@ -23,7 +23,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RESOURCE = 2
 
-DEFAULT_MAX_DIGITS = 4096
+DEFAULT_MAX_DIGITS = witness.DEFAULT_MAX_PI_DIGITS
 
 
 class CliError(ValueError):

@@ -25,22 +25,6 @@ def _frac(v: RationalLike) -> Fraction:
     return Fraction(v)
 
 
-def rat_arith(x: RationalLike, y: RationalLike, op: str) -> Fraction:
-    """Exact rational arithmetic; op is one of '+', '-', '*', '/'."""
-    x, y = _frac(x), _frac(y)
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    if op == "/":
-        if y == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
 class RationalInterval:
     """Closed interval [lo, hi] with exact rational endpoints.
 
@@ -61,10 +45,6 @@ class RationalInterval:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalInterval is immutable")
-
-    @classmethod
-    def point(cls, v: RationalLike) -> "RationalInterval":
-        return cls(v)
 
     @property
     def width(self) -> Fraction:
@@ -175,19 +155,6 @@ class RationalInterval:
 
     def __repr__(self):
         return f"RationalInterval({self.lo}, {self.hi})"
-
-
-def iv_arith(x: RationalInterval, y: RationalInterval, op: str) -> RationalInterval:
-    """Interval arithmetic; op is one of '+', '-', '*', '/'."""
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    if op == "/":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def _sqrt_lower(r: Fraction, precision: int) -> Fraction:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .numbers import RationalInterval, iv_sqrt
 from .series import cos_enclosure
@@ -75,12 +76,15 @@ def _hexagon_start(bits: int) -> tuple[RationalInterval, RationalInterval]:
     return inscribed, circumscribed
 
 
-def _archimedes_iv(doublings: int, bits: int) -> tuple[RationalInterval, RationalInterval]:
+def _polygon_doublings(bits: int):
+    """Inscribed and circumscribed semiperimeter intervals of the
+    6·2**k-gon for k = 0, 1, 2, ...; square roots are outward-rounded at
+    2**-bits and every value is kept on the grid 2**-(4·bits)."""
     b, a = _hexagon_start(bits)
-    for _ in range(doublings):
+    while True:
+        yield b, a
         a = (2 * a * b / (a + b)).simplify(4 * bits)
         b = iv_sqrt(b * a, bits).simplify(4 * bits)
-    return b, a
 
 
 def archimedes_bounds(doublings: int, precision_digits: int | None = None) -> PiEnclosure:
@@ -95,7 +99,7 @@ def archimedes_bounds(doublings: int, precision_digits: int | None = None) -> Pi
     if precision_digits is None:
         precision_digits = doublings + 12
     bits = int(precision_digits * 3.33) + 16
-    b, a = _archimedes_iv(doublings, bits)
+    b, a = next(islice(_polygon_doublings(bits), doublings, None))
     return PiEnclosure(RationalInterval(b.lo, a.hi), "archimedes", doublings)
 
 
@@ -145,7 +149,12 @@ def pi_enclosure(precision_digits: int, method: str = "machin") -> PiEnclosure:
 
     Machin's formula in fixed point is the default: one pass, no retries.
     The cos-root bisection and the polygon doubling are kept as
-    independent cross-check routes.
+    independent cross-check routes.  The polygon route is one pass too: a
+    doubling divides the gap between the bounds by about 4 but multiplies
+    the rounding noise by about 2.45, so the square roots run at
+    ceil(5.5·d) + 48 bits, fixed up front, and doubling goes on until the
+    width is below 10**-d.  Should the width stop shrinking first,
+    PrecisionExhausted is raised.
     """
     if method == "machin":
         return _pi_by_machin(precision_digits)
@@ -153,16 +162,20 @@ def pi_enclosure(precision_digits: int, method: str = "machin") -> PiEnclosure:
         return pi_by_cos_root(precision_digits)
     if method != "archimedes":
         raise ValueError(f"unknown method {method!r}")
+    if precision_digits < 1:
+        raise ValueError("precision_digits must be >= 1")
     target = Fraction(1, 10 ** precision_digits)
-    bits = int(precision_digits * 3.33) + 32
-    doublings = int(precision_digits * 1.67) + 4
-    while True:
-        b, a = _archimedes_iv(doublings, bits)
+    bits = -(-11 * precision_digits // 2) + 48
+    width = None
+    for doublings, (b, a) in enumerate(_polygon_doublings(bits)):
         iv = RationalInterval(b.lo, a.hi)
         if iv.width < target:
             return PiEnclosure(iv, "archimedes", doublings)
-        doublings += 8
-        bits += 32
+        if width is not None and iv.width >= width:
+            raise PrecisionExhausted(
+                f"polygon doubling at {bits} bits stopped narrowing after "
+                f"{doublings} doublings, above 10**-{precision_digits}")
+        width = iv.width
 
 
 def rhind_value() -> Fraction:

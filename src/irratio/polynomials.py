@@ -1,6 +1,8 @@
-"""Dense rational-coefficient polynomials and the Niven polynomial.
+"""Dense exact polynomials and the Niven polynomial.
 
-The Niven polynomial x^n (1-x)^n / n! is the auxiliary function of the
+Poly is the one dense polynomial ring of the package: rational
+coefficients here, PiRat coefficients in trigpoly.PiPoly.  The Niven
+polynomial x^n (1-x)^n / n! is the auxiliary function of the
 pi-irrationality argument; its derivatives at 0 and 1 are exact integers,
 which this module computes and asserts rather than assumes.
 """
@@ -10,31 +12,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .combinatorics import binomial, factorial
 
 
 class Poly:
-    """Immutable dense polynomial in x with Fraction coefficients.
+    """Immutable dense polynomial in x over an exact coefficient ring.
 
     coeffs[i] is the coefficient of x**i; trailing zeros are trimmed and
-    the zero polynomial has an empty coefficient tuple.
+    the zero polynomial has an empty coefficient tuple.  The class
+    attribute _coerce maps each input coefficient into the ring: Fraction
+    here, PiRat in the subclass trigpoly.PiPoly.  Every operation builds
+    its result with type(self), so a subclass inherits the whole ring.
     """
 
     __slots__ = ("coeffs",)
+    _coerce = Fraction
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [self._coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def x_power(cls, n: int, coeff: Fraction | int = 1) -> "Poly":
+    def x_power(cls, n: int, coeff=1) -> "Poly":
         return cls([0] * n + [coeff])
 
     @property
@@ -42,42 +48,57 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
-    def __call__(self, x: Fraction | int) -> Fraction:
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._coerce(0)
+
+    def derivative(self) -> "Poly":
+        """Term-wise power rule."""
+        return type(self)([c * i for i, c in enumerate(self.coeffs) if i])
+
+    def __call__(self, x: Fraction | int):
+        """Exact Horner evaluation at a rational x."""
         x = Fraction(x)
-        acc = Fraction(0)
+        acc = self._coerce(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return type(self)([self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return type(self)([self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return type(self)([-c for c in self.coeffs])
+
+    def scale(self, s) -> "Poly":
+        """Every coefficient times the ring element s."""
+        return type(self)([c * s for c in self.coeffs])
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        """Product with a polynomial of the same ring; any other factor is
+        a ring element and scales."""
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        out = [self._coerce(0)] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -85,27 +106,19 @@ class Poly:
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
+        return f"{type(self).__name__}({list(self.coeffs)})"
 
 
-def poly_eval(p: Poly, x: Fraction | int) -> Fraction:
-    """Exact Horner evaluation."""
-    return p(x)
-
-
-def derivative(p: Poly) -> Poly:
-    """Term-wise power rule."""
-    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+derivative = Poly.derivative
 
 
 def nth_derivative(p: Poly, l: int) -> Poly:
     """l-fold derivative, by l applications of the power rule."""
     if l < 0:
         raise ValueError("derivative order must be non-negative")
-    q = p
     for _ in range(l):
-        q = derivative(q)
-    return q
+        p = p.derivative()
+    return p
 
 
 def reflect(p: Poly) -> Poly:

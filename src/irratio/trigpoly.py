@@ -1,20 +1,21 @@
-"""Exact symbolic algebra for P(x)sin(Px) + Q(x)cos(Px) + c.
+"""Exact symbolic algebra for P(x)sin(Px) + Q(x)cos(Px).
 
 P here is a *formal* symbol standing for pi: PiRat is a Laurent polynomial
 in that symbol with rational coefficients, and no numeric value of pi ever
 enters a symbolic computation.  Numerics happen only in pirat_eval_interval,
 which evaluates a PiRat over a certified pi enclosure.
 
-The class of trig-polynomials is closed under differentiation and admits
-exact antiderivatives for p(x)sin(Px); endpoint evaluation over [0,1] uses
-the formal rules sin(0)=sin(P)=0, cos(0)=1, cos(P)=-1.
+PiPoly is polynomials.Poly over PiRat.  The class of trig-polynomials
+with PiPoly parts is closed under differentiation and admits exact
+antiderivatives for p(x)sin(Px); endpoint evaluation over [0,1] uses the
+formal rules sin(0)=sin(P)=0, cos(0)=1, cos(P)=-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .numbers import RationalInterval
 from .polynomials import Poly
@@ -171,94 +172,38 @@ def pirat_eval_interval(L: PiRat, pi_iv: RationalInterval) -> RationalInterval:
     return acc if bits is None else acc.simplify(bits)
 
 
-class PiPoly:
-    """Dense polynomial in x whose coefficients are PiRat values."""
+class PiPoly(Poly):
+    """Poly over PiRat: a dense polynomial in x whose coefficients are
+    Laurent polynomials in the formal pi symbol.  Every ring operation is
+    Poly's; only the coefficient ring differs."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[PiRat] = ()):
-        cs = [_as_pirat(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiPoly is immutable")
+    __slots__ = ()
+    _coerce = staticmethod(_as_pirat)
 
     @classmethod
     def from_poly(cls, p: Poly, scale: PiRat | None = None) -> "PiPoly":
-        scale = PiRat.from_rational(1) if scale is None else scale
-        return cls([scale * PiRat.from_rational(c) for c in p.coeffs])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, i: int) -> PiRat:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else PiRat()
-
-    def derivative(self) -> "PiPoly":
-        return PiPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x: ScalarLike) -> PiRat:
-        x = Fraction(x)
-        acc = PiRat()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "PiPoly") -> "PiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PiPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other: "PiPoly") -> "PiPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PiPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self) -> "PiPoly":
-        return PiPoly([-c for c in self.coeffs])
-
-    def scale(self, s: PiRat | ScalarLike) -> "PiPoly":
-        s = _as_pirat(s)
-        return PiPoly([c * s for c in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"PiPoly({list(self.coeffs)})"
+        q = cls(p.coeffs)
+        return q if scale is None else q.scale(scale)
 
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """sin_part(x)·sin(Px) + cos_part(x)·cos(Px) + const.
+    """sin_part(x)·sin(Px) + cos_part(x)·cos(Px), both parts PiPoly.
 
-    The additive scalar is carried explicitly: the actual constant function
-    is (0, 0, c), so constants of integration stay visible and definite
-    integrals are provably invariant under them.
+    No additive constant is carried: a definite integral does not depend
+    on one, and no computation here produces one.
     """
 
     sin_part: PiPoly = field(default_factory=PiPoly)
     cos_part: PiPoly = field(default_factory=PiPoly)
-    const: PiRat = field(default_factory=PiRat)
 
 
 def trig_derivative(T: TrigPoly) -> TrigPoly:
     """Product and chain rule on the trig-polynomial class:
-    (P sin + Q cos + c)' = (P' - pi·Q) sin + (Q' + pi·P) cos."""
+    (P sin + Q cos)' = (P' - pi·Q) sin + (Q' + pi·P) cos."""
     p, q = T.sin_part, T.cos_part
     return TrigPoly(p.derivative() - q.scale(PI_SYMBOL),
-                    q.derivative() + p.scale(PI_SYMBOL),
-                    PiRat())
+                    q.derivative() + p.scale(PI_SYMBOL))
 
 
 def antiderivative_p_sin(p: PiPoly | Poly) -> TrigPoly:
@@ -271,7 +216,7 @@ def antiderivative_p_sin(p: PiPoly | Poly) -> TrigPoly:
     antiderivative, with definite_01, is the reference that route is
     tested against.
     """
-    if isinstance(p, Poly):
+    if not isinstance(p, PiPoly):
         p = PiPoly.from_poly(p)
     sin_part = PiPoly()
     cos_part = PiPoly()
@@ -288,7 +233,7 @@ def antiderivative_p_sin(p: PiPoly | Poly) -> TrigPoly:
             sin_part = sin_part + d.scale(PiRat.term(sign, exponent))
         d = d.derivative()
         j += 1
-    T = TrigPoly(sin_part, cos_part, PiRat())
+    T = TrigPoly(sin_part, cos_part)
     check = trig_derivative(T)
     assert check.sin_part == p and check.cos_part.is_zero, \
         "antiderivative failed symbolic verification"
@@ -298,7 +243,7 @@ def antiderivative_p_sin(p: PiPoly | Poly) -> TrigPoly:
 def definite_01(T: TrigPoly) -> PiRat:
     """T(1) - T(0) under sin(0)=sin(P)=0, cos(0)=1, cos(P)=-1.
 
-    Sin terms vanish at both ends and the additive constant cancels, so the
-    value is -cos_part(1) - cos_part(0)."""
+    Sin terms vanish at both ends, so the value is
+    -cos_part(1) - cos_part(0)."""
     q = T.cos_part
     return -(q(1) + q(0))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import factorial
+from .combinatorics import dominance_index, factorial
 from .numbers import RationalInterval
 from .pi_engine import PrecisionExhausted, pi_enclosure
 from .polynomials import niven_endpoint_derivatives, niven_poly, nth_derivative
@@ -29,6 +29,8 @@ from .trigpoly import (PiPoly, PiRat, TrigPoly, pirat_eval_interval,
 CONTRADICTION = "CONTRADICTION"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# Cap on the digits of pi a certificate may ask for; the CLI applies the
+# same cap to every digits request.
 DEFAULT_MAX_PI_DIGITS = 4096
 
 # 22/7 is used as the certified rational upper bound of pi when selecting n.
@@ -48,18 +50,12 @@ def _certify_pi_upper_bound() -> bool:
 
 
 def choose_niven_n(a: int, b: int) -> int:
-    """Minimal n with (22/7)·a**n/n! < 1, by linear search."""
+    """Minimal n with (22/7)·a**n/n! < 1: dominance_index(a, 22/7), once
+    22/7 is certified as an upper bound of pi."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive integers")
     _certify_pi_upper_bound()
-    n = 1
-    power = a
-    fact = 1
-    while PI_UPPER_BOUND * power >= fact:
-        n += 1
-        power *= a
-        fact *= n
-    return n
+    return dominance_index(a, PI_UPPER_BOUND)
 
 
 def build_g(a: int, b: int, n: int) -> PiPoly:
@@ -123,7 +119,7 @@ def verify_ode_identity(a: int, b: int, n: int,
     mism = _first_mismatch(lhs_ode, rhs, "ode")
     ode_ok = mism is None
 
-    T = TrigPoly(g.derivative(), g.scale(PiRat.term(-1, 1)), PiRat())
+    T = TrigPoly(g.derivative(), g.scale(PiRat.term(-1, 1)))
     dT = trig_derivative(T)
     mism2 = _first_mismatch(dT.sin_part, rhs, "antiderivative-sin")
     if mism2 is None and not dT.cos_part.is_zero:
@@ -215,9 +211,10 @@ def pi_witness(a: int, b: int, n_override: int | None = None,
     N_direct = pirat_substitute_pi2(I_exact, candidate)
     assert N_direct.denominator == 1, "N must be an exact integer"
 
+    # g(0) is the constant coefficient and g(1) the coefficient sum.
     g = build_g(a, b, n)
-    g0 = pirat_substitute_pi2(g(0), candidate)
-    g1 = pirat_substitute_pi2(g(1), candidate)
+    g0 = pirat_substitute_pi2(g.coeff(0), candidate)
+    g1 = pirat_substitute_pi2(sum(g.coeffs, PiRat()), candidate)
     assert g0.denominator == 1 and g1.denominator == 1, \
         "g(0), g(1) must be integers under the substitution"
     assert N_direct == g0 + g1, \

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irratio.numbers import RationalInterval
-from irratio.pi_engine import (archimedes_bounds, continued_fraction,
-                               pi_by_cos_root, pi_enclosure, rhind_value)
+from irratio import pi_engine
+from irratio.numbers import RationalInterval, iv_sqrt
+from irratio.pi_engine import (PrecisionExhausted, archimedes_bounds,
+                               continued_fraction, pi_by_cos_root,
+                               pi_enclosure, rhind_value)
 
 F = Fraction
 
@@ -60,6 +62,39 @@ class TestArchimedes:
     def test_doublings_cap(self):
         with pytest.raises(ValueError):
             archimedes_bounds(61)
+
+
+class TestArchimedesOnePass:
+    @pytest.mark.parametrize("digits", [20, 51, 72])
+    def test_width_overlap_and_one_pass(self, digits, monkeypatch):
+        # one square root for the hexagon, then one per doubling: a restart
+        # from the hexagon would take more
+        roots = []
+
+        def counting(x, precision):
+            roots.append(precision)
+            return iv_sqrt(x, precision)
+
+        monkeypatch.setattr(pi_engine, "iv_sqrt", counting)
+        enc = pi_enclosure(digits, "archimedes")
+        assert enc.method == "archimedes"
+        assert enc.value.width < F(1, 10 ** digits)
+        enc.value.intersect(pi_enclosure(digits, "machin").value)
+        assert len(roots) == enc.effort + 1
+
+    @pytest.mark.parametrize("digits", [0, -1])
+    def test_invalid_precision(self, digits):
+        with pytest.raises(ValueError):
+            pi_enclosure(digits, "archimedes")
+
+    def test_stall_raises(self, monkeypatch):
+        # at a third of the bits the rounding noise outgrows the gap long
+        # before 10**-51
+        doublings = pi_engine._polygon_doublings
+        monkeypatch.setattr(pi_engine, "_polygon_doublings",
+                            lambda bits: doublings(bits // 3))
+        with pytest.raises(PrecisionExhausted):
+            pi_enclosure(51, "archimedes")
 
 
 class TestCrossMethod:

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from irratio.combinatorics import binomial, factorial
 from irratio.polynomials import (Poly, derivative, niven_endpoint_derivatives,
-                                 niven_poly, nth_derivative, poly_eval,
-                                 reflect)
+                                 niven_poly, nth_derivative, reflect)
 
 F = Fraction
 
@@ -17,14 +16,14 @@ polys = st.lists(rationals, max_size=40).map(Poly)
 
 class TestEval:
     def test_x_minus_x_squared_at_half(self):
-        assert poly_eval(Poly([0, 1, -1]), F(1, 2)) == F(1, 4)
+        assert Poly([0, 1, -1])(F(1, 2)) == F(1, 4)
 
     def test_constant_coefficient_at_zero(self):
-        assert poly_eval(Poly([F(7, 3), 5, -2]), 0) == F(7, 3)
+        assert Poly([F(7, 3), 5, -2])(0) == F(7, 3)
 
     def test_niven_numerator_at_one(self):
         # x^2 - 2x^3 + x^4 vanishes at 1
-        assert poly_eval(Poly([0, 0, 1, -2, 1]), 1) == 0
+        assert Poly([0, 0, 1, -2, 1])(1) == 0
 
 
 class TestDerivative:
@@ -98,7 +97,7 @@ class TestNivenPoly:
         for n in range(1, 11):
             f = niven_poly(n)
             for x in points:
-                v = poly_eval(f, x)
+                v = f(x)
                 assert 0 <= v <= F(1, factorial(n))
                 if x in (0, 1):
                     assert v == 0

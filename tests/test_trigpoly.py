@@ -105,11 +105,6 @@ class TestDefiniteIntegral:
         T = TrigPoly(pipoly(1, 2, -3), PiPoly())
         assert definite_01(T) == PiRat()
 
-    def test_invariant_under_integration_constant(self):
-        T = antiderivative_p_sin(Poly([2, 0, 1]))
-        shifted = TrigPoly(T.sin_part, T.cos_part, PiRat({0: F(7, 3)}))
-        assert definite_01(shifted) == definite_01(T)
-
 
 class TestIntervalEvaluation:
     def test_two_over_pi(self):
