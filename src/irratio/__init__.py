@@ -12,9 +12,9 @@ from .combinatorics import (binomial, binomial_expand, dominance_index,
 from .polynomials import (EndpointDerivatives, Poly, derivative,
                           niven_endpoint_derivatives, niven_poly,
                           nth_derivative, reflect)
-from .series import (Enclosure, cos_enclosure, e_enclosure,
-                     e_sandwich_enclosure, exp_enclosure, sandwich_check,
-                     sin_enclosure, squeeze_check)
+from .series import (Enclosure, cos_enclosure, e_enclosure, e_partial_sum,
+                     e_sandwich_enclosure, e_tail_enclosure, exp_enclosure,
+                     sandwich_check, sin_enclosure, squeeze_check)
 from .pi_engine import (CFExpansion, PiEnclosure, PrecisionExhausted,
                         archimedes_bounds, continued_fraction, pi_by_cos_root,
                         pi_enclosure, rhind_value)

@@ -5,11 +5,14 @@ outcome), 1 invalid input, 2 resource or precision cap reached.  Fractions
 on the command line are written A/B with decimal integer parts; there is no
 floating-point input anywhere.  JSON output renders arbitrary-precision
 integers as decimal strings and intervals as {"lo": "p/q", "hi": "p/q"}.
+Witness reports render without Python's int->str digit limit; parsing of
+the command line keeps it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,8 +26,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RESOURCE = 2
 
-DEFAULT_MAX_DIGITS = witness.DEFAULT_MAX_PI_DIGITS
-
 
 class CliError(ValueError):
     """Invalid command-line input."""
@@ -33,7 +34,7 @@ class CliError(ValueError):
 def max_digits_cap() -> int:
     raw = os.environ.get("IRRATIO_MAX_DIGITS")
     if raw is None:
-        return DEFAULT_MAX_DIGITS
+        return witness.DEFAULT_MAX_PI_DIGITS
     try:
         cap = int(raw)
     except ValueError:
@@ -94,6 +95,21 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift Python's int->str digit limit while a finished report renders.
+
+    Certificates carry integers of any size (M of `witness e 1/b`, the
+    enclosure endpoints of `witness pi2`); input parsing keeps the limit.
+    """
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # -- subcommand handlers ---------------------------------------------------
 
 def cmd_digits(args) -> int:
@@ -132,9 +148,13 @@ def cmd_witness(args) -> int:
     if args.kind == "pi2":
         report = witness.pi_witness(a, b, n_override=args.n,
                                     max_pi_digits=max_digits_cap())
+    else:
+        report = witness.e_witness(a, b)
+    with unlimited_int_str():
         if args.json:
-            _print_json(pi_witness_report_dict(report))
-        else:
+            _print_json(pi_witness_report_dict(report) if args.kind == "pi2"
+                        else e_witness_report_dict(report))
+        elif args.kind == "pi2":
             print(f"candidate pi^2 = {a}/{b}")
             print(f"n = {report.n}")
             print(f"N = g(0)+g(1) = {report.N}")
@@ -142,10 +162,6 @@ def cmd_witness(args) -> int:
             print(f"I enclosure ≈ {to_decimal(report.I_enclosure, 12)}")
             print(f"upper bound pi·a^n/n! = {report.upper_bound} < 1")
             print(f"verdict: {report.verdict}")
-    else:  # e
-        report = witness.e_witness(a, b)
-        if args.json:
-            _print_json(e_witness_report_dict(report))
         else:
             print(f"candidate e = {a}/{b}")
             print(f"n = {report.n}")
@@ -293,10 +309,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except PrecisionExhausted as exc:

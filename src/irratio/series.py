@@ -4,6 +4,10 @@ All enclosures have exact rational endpoints.  "precision_digits" means the
 final interval width is below 10**-digits; internally one guard factor of 2
 is applied to the tail bound.  There is no argument reduction for sin/cos
 (that would need pi itself), so their domain is capped at |x| <= 8.
+
+Each series is summed by one routine: sum_{k<=n} n!/k! by the integer
+recurrence of `e_partial_sum` (for `e_enclosure` and the e certificate),
+sin and cos by `_taylor_enclosure`.
 """
 
 from __future__ import annotations
@@ -24,21 +28,51 @@ class Enclosure:
     tail_bound: Fraction
 
 
+def e_partial_sum(n: int) -> tuple[int, int]:
+    """(n!, S_n) with S_n = sum_{k<=n} n!/k!, by the integer recurrence
+    S_0 = 1, S_j = j·S_(j-1) + 1; S_n/n! is the partial sum of e."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    fact, s = 1, 1
+    for j in range(1, n + 1):
+        fact *= j
+        s = s * j + 1
+    return fact, s
+
+
 def e_enclosure(precision_digits: int) -> Enclosure:
-    """Enclosure of e from the partial sum of 1/k! plus the geometric tail
-    bound e - sum_{k<=n} 1/k! < 1/(n! n)."""
+    """Enclosure of e from the partial sum S_n/n! of 1/k! plus the geometric
+    tail bound e - S_n/n! < 1/(n! n), for the least n >= 1 with
+    1/(n! n) < 10**-precision_digits / 2."""
     if precision_digits < 1:
         raise ValueError("precision_digits must be >= 1")
-    target = Fraction(1, 2 * 10 ** precision_digits)
-    n = 1
-    fact = 1
-    partial = Fraction(2)  # 1/0! + 1/1!
-    while Fraction(1, fact * n) >= target:
+    bound = 2 * 10 ** precision_digits
+    n, fact = 1, 1
+    while fact * n <= bound:
         n += 1
         fact *= n
-        partial += Fraction(1, fact)
+    fact, s = e_partial_sum(n)
+    partial = Fraction(s, fact)
     tail = Fraction(1, fact * n)
     return Enclosure(RationalInterval(partial, partial + tail), n + 1, tail)
+
+
+def e_tail_enclosure(n: int) -> RationalInterval:
+    """Enclosure of n!·(e - S_n/n!) = sum_{j>=1} 1/((n+1)···(n+j)), n >= 1.
+
+    Terms are added until the next one, t, falls below 2**-64 of the sum;
+    that term and the rest lie in [t, t·(n+j+1)/(n+j)], since each further
+    ratio is at most 1/(n+j+1).  No enclosure of e is involved.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    partial, term, j = Fraction(0), Fraction(1, n + 1), 1
+    while term >= partial / 2 ** 64:
+        partial += term
+        j += 1
+        term /= n + j
+    return RationalInterval(partial + term,
+                            partial + term * (n + j + 1) / (n + j))
 
 
 def exp_enclosure(x: Fraction, precision_digits: int) -> Enclosure:
@@ -67,65 +101,42 @@ def exp_enclosure(x: Fraction, precision_digits: int) -> Enclosure:
     return Enclosure(RationalInterval(partial, partial + tail), n + 1, tail)
 
 
-def _alternating_enclosure(terms_signed, decreasing_from, target) -> Enclosure:
-    """Sum an alternating-type series until the first omitted term is both
-    part of a strictly decreasing run and below target; enclose by +-bound."""
-    partial = Fraction(0)
-    k = 0
-    while True:
-        t_next = abs(terms_signed(k))
-        if k >= decreasing_from and t_next < target:
-            break
-        partial += terms_signed(k)
+def _taylor_enclosure(x: Fraction, precision_digits: int, parity: int,
+                      name: str) -> Enclosure:
+    """Enclosure of sum_k (-1)^k x^(2k+parity)/(2k+parity)!: sin for parity 1,
+    cos for parity 0, rational |x| <= 8.
+
+    Terms are summed until the first omitted one is both part of the
+    strictly decreasing run (x^2 < (2k+parity+1)(2k+parity+2)) and below
+    10**-precision_digits / 2; the sum is then enclosed by +- that term.
+    """
+    x = Fraction(x)
+    if abs(x) > 8:
+        raise ValueError(f"{name} requires |x| <= 8")
+    if precision_digits < 1:
+        raise ValueError("precision_digits must be >= 1")
+    target = Fraction(1, 2 * 10 ** precision_digits)
+    x2 = x * x
+    partial, term, k = Fraction(0), x ** parity, 0
+    while (abs(term) >= target
+           or x2 >= (2 * k + parity + 1) * (2 * k + parity + 2)):
+        partial += term
         k += 1
-    return Enclosure(RationalInterval(partial - t_next, partial + t_next),
-                     k, t_next)
+        term = -term * x2 / ((2 * k + parity - 1) * (2 * k + parity))
+    t = abs(term)
+    return Enclosure(RationalInterval(partial - t, partial + t), k, t)
 
 
 def sin_enclosure(x: Fraction, precision_digits: int) -> Enclosure:
-    """Alternating-series enclosure of sin(x) for rational |x| <= 8."""
-    x = Fraction(x)
-    if abs(x) > 8:
-        raise ValueError("sin_enclosure requires |x| <= 8")
-    if precision_digits < 1:
-        raise ValueError("precision_digits must be >= 1")
-    if x == 0:
-        return Enclosure(RationalInterval(0, 0), 0, Fraction(0))
-    target = Fraction(1, 2 * 10 ** precision_digits)
-    x2 = x * x
-    # term magnitudes |x|^(2k+1)/(2k+1)! strictly decrease once
-    # x^2 < (2k+2)(2k+3)
-    k0 = 0
-    while x2 >= (2 * k0 + 2) * (2 * k0 + 3):
-        k0 += 1
-
-    def term(k: int) -> Fraction:
-        sign = -1 if k % 2 else 1
-        return sign * x ** (2 * k + 1) / factorial(2 * k + 1)
-
-    return _alternating_enclosure(term, k0, target)
+    """Alternating Taylor enclosure of sin(x) for rational |x| <= 8: the
+    odd-parity case of `_taylor_enclosure`."""
+    return _taylor_enclosure(x, precision_digits, 1, "sin_enclosure")
 
 
 def cos_enclosure(x: Fraction, precision_digits: int) -> Enclosure:
-    """Alternating-series enclosure of cos(x) for rational |x| <= 8."""
-    x = Fraction(x)
-    if abs(x) > 8:
-        raise ValueError("cos_enclosure requires |x| <= 8")
-    if precision_digits < 1:
-        raise ValueError("precision_digits must be >= 1")
-    if x == 0:
-        return Enclosure(RationalInterval(1, 1), 0, Fraction(0))
-    target = Fraction(1, 2 * 10 ** precision_digits)
-    x2 = x * x
-    k0 = 0
-    while x2 >= (2 * k0 + 1) * (2 * k0 + 2):
-        k0 += 1
-
-    def term(k: int) -> Fraction:
-        sign = -1 if k % 2 else 1
-        return sign * x ** (2 * k) / factorial(2 * k)
-
-    return _alternating_enclosure(term, k0, target)
+    """Alternating Taylor enclosure of cos(x) for rational |x| <= 8: the
+    even-parity case of `_taylor_enclosure`."""
+    return _taylor_enclosure(x, precision_digits, 0, "cos_enclosure")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ and endpoint evaluation of the auxiliary polynomial g built by repeated
 differentiation of f) and cross-asserted.
 
 For e = a/b the certificate is the integer M = n!·a/b - sum_{k<=n} n!/k!
-with n = b, against the enclosure of n!(e - partial sum) in (0, 1/n).
+with n = b, the sum taken by the integer recurrence S_j = j·S_(j-1) + 1,
+against a direct enclosure of the series tail n!(e - S_n/n!) =
+sum_{j>=1} 1/((n+1)···(n+j)) inside (0, 1/n); no enclosure of e is used.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .combinatorics import dominance_index, factorial
 from .numbers import RationalInterval
 from .pi_engine import PrecisionExhausted, pi_enclosure
 from .polynomials import niven_endpoint_derivatives, niven_poly, nth_derivative
-from .series import e_enclosure
+from .series import e_partial_sum, e_tail_enclosure
 from .trigpoly import (PiPoly, PiRat, TrigPoly, pirat_eval_interval,
                        pirat_substitute_pi2, trig_derivative)
 
@@ -247,22 +249,26 @@ class EWitnessReport:
 
 
 def e_witness(a: int, b: int) -> EWitnessReport:
-    """Contradiction certificate for the candidate e = a/b, with n = b."""
+    """Contradiction certificate for the candidate e = a/b, with n = b.
+
+    M = n!·a/b - S_n is an exact integer, with S_n = sum_{k<=n} n!/k! from
+    the recurrence of `e_partial_sum`; the paper's tail n!·(e - S_n/n!) is
+    enclosed directly by `e_tail_enclosure` and checked to lie in (0, 1/n),
+    which no integer does.  Both checks raise AssertionError, also under
+    python -O.
+    """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive integers")
     n = b
-    fact = factorial(n)
-    scaled = Fraction(fact * a, b)
-    assert scaled.denominator == 1, "n!·a/b must be an integer for n = b"
-    partial_scaled = sum(fact // factorial(k) for k in range(n + 1))
-    M = int(scaled) - partial_scaled
+    fact, partial_scaled = e_partial_sum(n)
+    scaled, rem = divmod(fact * a, b)
+    if rem:
+        raise AssertionError("n!·a/b must be an integer for n = b")
+    M = scaled - partial_scaled
 
-    digits = len(str(fact)) + len(str(n)) + 8
-    e_iv = e_enclosure(digits).value
-    partial = Fraction(partial_scaled, fact)
-    tail = (e_iv - RationalInterval(partial)) * RationalInterval(fact)
-    assert tail.strictly_inside(0, Fraction(1, n)), \
-        "tail enclosure must lie in (0, 1/n)"
+    tail = e_tail_enclosure(n)
+    if not tail.strictly_inside(0, Fraction(1, n)):
+        raise AssertionError("tail enclosure must lie in (0, 1/n)")
 
     contradiction = not tail.contains(M)
     verdict = CONTRADICTION if contradiction else INCONCLUSIVE

@@ -1,13 +1,17 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from irratio.cli import (parse_fraction, parse_interval_dict, run,
-                         e_witness_report_dict, pi_witness_report_dict)
+                         e_witness_report_dict, pi_witness_report_dict,
+                         unlimited_int_str)
 from irratio import witness
+from irratio.numbers import RationalInterval
+from irratio.trigpoly import PiRat
 from irratio.witness import e_witness, pi_witness
 
 F = Fraction
@@ -124,6 +128,48 @@ class TestWitnessCommand:
 
     def test_invalid_override(self, capsys):
         assert run(["witness", "pi2", "10/1", "--n", "5"]) == 1
+
+    def test_e_beyond_int_str_limit(self, capsys):
+        # M of 1/2000 has about 5700 digits, past Python's 4300-digit
+        # int->str limit; rendering lifts it and restores it afterwards
+        limit = sys.get_int_max_str_digits()
+        fact = math.factorial(2000)
+        M = fact // 2000 - sum(fact // math.factorial(k) for k in range(2001))
+        assert run(["witness", "e", "1/2000"]) == 0
+        text = capsys.readouterr().out
+        assert run(["witness", "e", "1/2000", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sys.get_int_max_str_digits() == limit
+        with unlimited_int_str():
+            assert f"M = n!·a/b - sum(n!/k!) = {M}\n" in text
+            assert int(payload["M"]) == M
+        assert "verdict: CONTRADICTION" in text
+        assert payload["verdict"] == "CONTRADICTION"
+
+    def test_pi2_beyond_int_str_limit(self, capsys, monkeypatch):
+        # a finished report with 4401-digit enclosure endpoints renders;
+        # the report is built directly instead of by a long certificate run
+        lo = F(3 * 10 ** 4400 + 1, 10 ** 4401)
+        hi = F(3 * 10 ** 4400 + 3, 10 ** 4401)
+        report = witness.PiWitnessReport(
+            245, 1, 663, 0, PiRat(), RationalInterval(lo, hi),
+            F(1, 2), witness.CONTRADICTION, 4157)
+        monkeypatch.setattr(witness, "pi_witness", lambda *a, **k: report)
+        assert run(["witness", "pi2", "245/1"]) == 0
+        text = capsys.readouterr().out
+        assert run(["witness", "pi2", "245/1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        with unlimited_int_str():
+            assert f"I enclosure = [{lo}, {hi}]\n" in text
+            assert payload == pi_witness_report_dict(report)
+        assert "I enclosure ≈ 0.300000000000…" in text
+
+    def test_huge_candidate_invalid(self, capsys):
+        # parsing keeps Python's int->str limit: a 5000-digit numerator is
+        # invalid input, rejected before any certificate work
+        for kind in ("e", "pi2"):
+            assert run(["witness", kind, "1" * 5000 + "/7"]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_pi2_cap_before_g(self, capsys, monkeypatch):
         # n = 270: the digits cap must stop the run before g is built

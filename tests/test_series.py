@@ -1,11 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irratio.combinatorics import factorial
 from irratio.numbers import RationalInterval
-from irratio.series import (cos_enclosure, e_enclosure, e_sandwich_enclosure,
+from irratio.series import (cos_enclosure, e_enclosure, e_partial_sum,
+                            e_sandwich_enclosure, e_tail_enclosure,
                             exp_enclosure, sandwich_check, sin_enclosure,
                             squeeze_check)
 
@@ -26,7 +31,64 @@ def cos_partial_sum(x, terms):
                 for k in range(terms)), F(0))
 
 
+def e_enclosure_by_fraction_sum(precision_digits):
+    """The e enclosure as n Fraction additions of 1/k!, the route that
+    e_partial_sum replaced: (value, terms_used, tail_bound)."""
+    target = F(1, 2 * 10 ** precision_digits)
+    n = 1
+    fact = 1
+    partial = F(2)
+    while F(1, fact * n) >= target:
+        n += 1
+        fact *= n
+        partial += F(1, fact)
+    tail = F(1, fact * n)
+    return RationalInterval(partial, partial + tail), n + 1, tail
+
+
+class TestEPartialSum:
+    def test_closed_form(self):
+        for n in range(80):
+            fact, s = e_partial_sum(n)
+            assert fact == math.factorial(n)
+            assert s == sum(fact // math.factorial(k) for k in range(n + 1))
+
+    def test_negative(self):
+        with pytest.raises(ValueError):
+            e_partial_sum(-1)
+
+
+class TestETailEnclosure:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(min_value=1, max_value=1500))
+    @example(1)
+    @example(1500)
+    def test_inside_paper_bound_and_meets_e_enclosure(self, n):
+        # differential check: the direct tail route against
+        # n!·e_enclosure(d) - S_n, at a d where that is no wider than it
+        tail = e_tail_enclosure(n)
+        assert tail.strictly_inside(0, F(1, n))
+        fact, s = e_partial_sum(n)
+        d = fact.bit_length() * 3 // 10 + 40
+        scaled = (e_enclosure(d).value - s / F(fact)) * RationalInterval(fact)
+        assert scaled.width <= tail.width
+        assert scaled.lo <= tail.hi and tail.lo <= scaled.hi
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            e_tail_enclosure(0)
+
+
 class TestEEnclosure:
+    @settings(deadline=None, max_examples=15)
+    @given(st.integers(min_value=1, max_value=3000))
+    @example(1)
+    @example(4096)
+    def test_matches_fraction_sum(self, d):
+        r = e_enclosure(d)
+        assert (r.value, r.terms_used, r.tail_bound) == \
+            e_enclosure_by_fraction_sum(d)
+
     def test_ten_digits(self):
         iv = e_enclosure(10).value
         assert iv.lo >= F(27182818284, 10 ** 10)
@@ -93,6 +155,23 @@ class TestSinCos:
             sin_enclosure(F(9), 5)
         with pytest.raises(ValueError):
             cos_enclosure(F(-17, 2), 5)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 6),
+           st.integers(min_value=1, max_value=60))
+    def test_contains_mpmath(self, x, d):
+        # mpmath's value at d + 60 digits, to within 10**-(d + 50): far
+        # below the omitted term that sets each half-width (about
+        # 10**-(d + 20) at worst for these x; exact at x = 0)
+        with mpmath.workdps(d + 60):
+            xm = mpmath.mpf(x.numerator) / x.denominator
+            tol = mpmath.mpf(10) ** -(d + 50)
+            for enclose, f in ((sin_enclosure, mpmath.sin),
+                               (cos_enclosure, mpmath.cos)):
+                iv = enclose(x, d).value
+                lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+                hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+                assert lo - tol <= f(xm) <= hi + tol
 
     def test_pythagorean_identity(self):
         rng = random.Random(5)

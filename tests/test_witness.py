@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irratio import witness
 from irratio.combinatorics import factorial
@@ -212,3 +218,35 @@ class TestEWitness:
     def test_invalid(self):
         with pytest.raises(ValueError):
             e_witness(1, 0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(min_value=1, max_value=400).flatmap(
+        lambda b: st.tuples(st.integers(min_value=1, max_value=4 * b),
+                            st.just(b))))
+    def test_M_closed_form(self, ab):
+        a, b = ab
+        fact = math.factorial(b)
+        r = e_witness(a, b)
+        assert r.M == fact * a // b - sum(fact // math.factorial(k)
+                                          for k in range(b + 1))
+        assert r.verdict == CONTRADICTION
+
+    def test_checks_survive_python_O(self):
+        # negative control: a tail routine returning [0, 2] must make
+        # e_witness raise even when python -O strips assert statements
+        script = (
+            "assert False, 'assert statements are still active'\n"
+            "from irratio import witness\n"
+            "from irratio.numbers import RationalInterval\n"
+            "witness.e_tail_enclosure = lambda n: RationalInterval(0, 2)\n"
+            "try:\n"
+            "    witness.e_witness(3, 1)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n")
+        src = str(Path(witness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised: tail enclosure must lie in (0, 1/n)\n"
