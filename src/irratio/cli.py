@@ -112,10 +112,15 @@ def unlimited_int_str():
 
 # -- subcommand handlers ---------------------------------------------------
 
-def cmd_digits(args) -> int:
+def _over_digits_cap(digits: int) -> bool:
     cap = max_digits_cap()
-    if args.digits > cap:
+    if digits > cap:
         print(f"requested digits exceed cap {cap}", file=sys.stderr)
+    return digits > cap
+
+
+def cmd_digits(args) -> int:
+    if _over_digits_cap(args.digits):
         return EXIT_RESOURCE
     if args.constant == "e":
         iv = series.e_enclosure(args.digits).value
@@ -176,10 +181,11 @@ def cmd_witness(args) -> int:
 def cmd_archimedes(args) -> int:
     if not 0 <= args.doublings <= 60:
         raise CliError("doublings must be between 0 and 60")
+    if _over_digits_cap(args.digits):
+        return EXIT_RESOURCE
     print(f"{'sides':>10} {'lower':>22} {'upper':>22}")
-    for d in range(args.doublings + 1):
-        enc = pi_engine.archimedes_bounds(d, args.digits)
-        sides = 6 * 2 ** d
+    for enc in pi_engine.archimedes_table(args.doublings, args.digits):
+        sides = 6 * 2 ** enc.effort
         print(f"{sides:>10} {to_decimal(RationalInterval(enc.value.lo), 15):>22}"
               f" {to_decimal(RationalInterval(enc.value.hi), 15):>22}")
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from os.path import commonprefix
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -186,6 +187,16 @@ def iv_sqrt(x: RationalInterval, precision: int) -> RationalInterval:
                             _sqrt_upper(x.hi, precision))
 
 
+def _zero_padded(n: int, width: int) -> str:
+    """n written with exactly `width` decimal digits.  Wide numbers are
+    written in halves, so no single int->str conversion meets Python's
+    digit limit."""
+    if width <= 4000:
+        return f"{n:0{width}d}"
+    high, low = divmod(n, 10 ** (width // 2))
+    return _zero_padded(high, width - width // 2) + _zero_padded(low, width // 2)
+
+
 def to_decimal(x: RationalInterval, max_digits: int) -> str:
     """Render only decimal digits certified by the enclosure.
 
@@ -193,6 +204,11 @@ def to_decimal(x: RationalInterval, max_digits: int) -> str:
     truncated toward zero, at most max_digits fractional digits.  A trailing
     ellipsis marks any value not exactly equal to the printed digits (this
     includes exact rationals whose expansion was truncated).
+
+    Each endpoint is floored once at scale 10**max_digits; the printed
+    fraction digits are the common prefix of the two floors' digit strings.
+    Trailing zeros are dropped, with no ellipsis, only when lo = hi is a
+    terminating decimal of at most max_digits digits.
     """
     if max_digits < 1:
         raise ValueError("max_digits must be >= 1")
@@ -201,31 +217,13 @@ def to_decimal(x: RationalInterval, max_digits: int) -> str:
         return "-" + to_decimal(RationalInterval(-hi, -lo), max_digits)
     if lo < 0 < hi:
         return "…"
-    ilo, ihi = lo.__floor__(), hi.__floor__()
+    scale = 10 ** max_digits
+    ilo, flo = divmod((lo * scale).__floor__(), scale)
+    ihi, fhi = divmod((hi * scale).__floor__(), scale)
     if ilo != ihi:
         return "…"
-    out = str(ilo)
-    rlo, rhi = lo - ilo, hi - ihi
-    if rlo == 0 and rhi == 0:
-        return out
-    digits = []
-    exact = False
-    certified = True
-    for _ in range(max_digits):
-        rlo *= 10
-        rhi *= 10
-        dlo, dhi = rlo.__floor__(), rhi.__floor__()
-        if dlo != dhi:
-            certified = False
-            break
-        digits.append(str(dlo))
-        rlo -= dlo
-        rhi -= dhi
-        if rlo == 0 and rhi == 0:
-            exact = True
-            break
-    if digits:
-        out += "." + "".join(digits)
-    if not (exact and certified):
-        out += "…"
-    return out
+    digits = commonprefix([_zero_padded(flo, max_digits),
+                           _zero_padded(fhi, max_digits)])
+    if lo == hi and (lo * scale).denominator == 1:
+        return f"{ilo}.{digits.rstrip('0')}".rstrip(".")
+    return f"{ilo}.{digits}…" if digits else f"{ilo}…"

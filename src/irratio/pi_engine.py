@@ -24,6 +24,12 @@ class PrecisionExhausted(RuntimeError):
     """Raised when a certified computation hits its precision cap."""
 
 
+# Most digits pi_enclosure accepts by each cross-check route.  The polygon
+# doubling costs about d**2.4 and the cos-root bisection d**4 or more: each
+# limit is a few seconds of work, where the 4096-digit cap would be hours.
+ROUTE_MAX_DIGITS = {"archimedes": 300, "cos-root": 120}
+
+
 @dataclass(frozen=True)
 class PiEnclosure:
     value: RationalInterval
@@ -69,38 +75,40 @@ def pi_by_cos_root(precision_digits: int) -> PiEnclosure:
     return PiEnclosure(RationalInterval(2 * lo, 2 * hi), "cos-root", steps)
 
 
-def _hexagon_start(bits: int) -> tuple[RationalInterval, RationalInterval]:
-    # inscribed semiperimeter 3, circumscribed 2*sqrt(3)
-    inscribed = RationalInterval(3, 3)
-    circumscribed = 2 * iv_sqrt(RationalInterval(3, 3), bits)
-    return inscribed, circumscribed
-
-
 def _polygon_doublings(bits: int):
     """Inscribed and circumscribed semiperimeter intervals of the
     6·2**k-gon for k = 0, 1, 2, ...; square roots are outward-rounded at
     2**-bits and every value is kept on the grid 2**-(4·bits)."""
-    b, a = _hexagon_start(bits)
+    # the hexagon: inscribed semiperimeter 3, circumscribed 2*sqrt(3)
+    b, a = RationalInterval(3), 2 * iv_sqrt(RationalInterval(3), bits)
     while True:
         yield b, a
         a = (2 * a * b / (a + b)).simplify(4 * bits)
         b = iv_sqrt(b * a, bits).simplify(4 * bits)
 
 
-def archimedes_bounds(doublings: int, precision_digits: int | None = None) -> PiEnclosure:
-    """Semiperimeter bounds for the 6*2**doublings-gon on the unit circle.
+def archimedes_table(doublings: int,
+                     precision_digits: int | None = None) -> list[PiEnclosure]:
+    """Semiperimeter bounds for the 6*2**k-gon on the unit circle, for
+    k = 0..doublings, from one run of the polygon doubling.
 
     Each doubling replaces the circumscribed value by the harmonic mean and
     the inscribed one by the geometric mean, with outward-rounded square
-    roots, so [inscribed.lo, circumscribed.hi] always contains pi.
+    roots, so every row [inscribed.lo, circumscribed.hi] contains pi.
     """
     if not 0 <= doublings <= 60:
         raise ValueError("doublings must be between 0 and 60")
     if precision_digits is None:
         precision_digits = doublings + 12
     bits = int(precision_digits * 3.33) + 16
-    b, a = next(islice(_polygon_doublings(bits), doublings, None))
-    return PiEnclosure(RationalInterval(b.lo, a.hi), "archimedes", doublings)
+    rows = islice(_polygon_doublings(bits), doublings + 1)
+    return [PiEnclosure(RationalInterval(b.lo, a.hi), "archimedes", k)
+            for k, (b, a) in enumerate(rows)]
+
+
+def archimedes_bounds(doublings: int, precision_digits: int | None = None) -> PiEnclosure:
+    """The last row of archimedes_table: the 6*2**doublings-gon."""
+    return archimedes_table(doublings, precision_digits)[-1]
 
 
 def _arctan_inv_fixed(x: int, p: int) -> tuple[int, int]:
@@ -131,8 +139,6 @@ def _pi_by_machin(precision_digits: int) -> PiEnclosure:
     terms that is below 11·p + 40 units, fewer than bit_length(d) + 16 bits,
     and p exceeds log2(10)·d by at least 2·bit_length(d) + 16 bits.
     """
-    if precision_digits < 1:
-        raise ValueError("precision_digits must be >= 1")
     d = precision_digits
     p = -(-333 * d // 100) + 2 * d.bit_length() + 16
     s5, k5 = _arctan_inv_fixed(5, p)
@@ -155,15 +161,23 @@ def pi_enclosure(precision_digits: int, method: str = "machin") -> PiEnclosure:
     ceil(5.5·d) + 48 bits, fixed up front, and doubling goes on until the
     width is below 10**-d.  Should the width stop shrinking first,
     PrecisionExhausted is raised.
+
+    The two cross-check routes grow steeply with d, so each accepts at most
+    ROUTE_MAX_DIGITS[method] digits (a few seconds of work) and raises
+    PrecisionExhausted above it, before its first cosine or square root.
     """
-    if method == "machin":
-        return _pi_by_machin(precision_digits)
-    if method == "cos-root":
-        return pi_by_cos_root(precision_digits)
-    if method != "archimedes":
-        raise ValueError(f"unknown method {method!r}")
     if precision_digits < 1:
         raise ValueError("precision_digits must be >= 1")
+    if method == "machin":
+        return _pi_by_machin(precision_digits)
+    if method not in ROUTE_MAX_DIGITS:
+        raise ValueError(f"unknown method {method!r}")
+    if precision_digits > ROUTE_MAX_DIGITS[method]:
+        raise PrecisionExhausted(
+            f"method {method} is limited to {ROUTE_MAX_DIGITS[method]} "
+            f"digits, {precision_digits} requested")
+    if method == "cos-root":
+        return pi_by_cos_root(precision_digits)
     target = Fraction(1, 10 ** precision_digits)
     bits = -(-11 * precision_digits // 2) + 48
     width = None
@@ -192,12 +206,8 @@ class CFExpansion:
 
 def _convergents(quotients: list[int]) -> list[Fraction]:
     out = []
-    p_prev, p = 1, quotients[0] if quotients else 0
-    q_prev, q = 0, 1
-    for i, a in enumerate(quotients):
-        if i == 0:
-            out.append(Fraction(p, q))
-            continue
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for a in quotients:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         out.append(Fraction(p, q))
@@ -207,34 +217,23 @@ def _convergents(quotients: list[int]) -> list[Fraction]:
 def continued_fraction(x: RationalInterval, max_depth: int) -> CFExpansion:
     """Partial quotients certified common to every real in x.
 
-    For a point interval this is the Euclidean expansion of the rational.
-    For a proper interval, the Gauss map runs on both endpoints at once and
-    stops at the first quotient on which they disagree; no quotient is ever
-    guessed.
+    The Gauss map x -> 1/(x - floor x) runs on both endpoints at once, on
+    their integer numerators and denominators, and stops at the first
+    quotient on which they disagree, or once an endpoint hits an integer:
+    the next quotient is then unbounded on one side.  No quotient is ever
+    guessed.  For a point interval this is the Euclidean expansion of the
+    rational.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     quotients: list[int] = []
-    lo, hi = x.lo, x.hi
-    if lo == hi:
-        r = lo
-        while len(quotients) < max_depth:
-            a = r.__floor__()
-            quotients.append(a)
-            r -= a
-            if r == 0:
-                break
-            r = 1 / r
-    else:
-        while len(quotients) < max_depth:
-            flo, fhi = lo.__floor__(), hi.__floor__()
-            if flo != fhi:
-                break
-            quotients.append(flo)
-            rlo, rhi = lo - flo, hi - fhi
-            if rlo == 0 or rhi == 0:
-                # an endpoint hit an integer: the next quotient is unbounded
-                # on one side, nothing further is certified
-                break
-            lo, hi = 1 / rhi, 1 / rlo
+    p, q = x.lo.numerator, x.lo.denominator  # lo = p/q, hi = r/s
+    r, s = x.hi.numerator, x.hi.denominator
+    while len(quotients) < max_depth and q and s:
+        a = p // q
+        if a != r // s:
+            break
+        quotients.append(a)
+        # 1/(x - a) reverses the order: the new lo is 1/(hi - a)
+        p, q, r, s = s, r - a * s, q, p - a * q
     return CFExpansion(quotients, _convergents(quotients), len(quotients))

@@ -47,7 +47,8 @@ PRECISION_GUARD = 1 << 32
 @lru_cache(maxsize=1)
 def _certify_pi_upper_bound() -> bool:
     enc = pi_enclosure(6)
-    assert enc.value.hi < PI_UPPER_BOUND, "22/7 failed certification as upper bound"
+    if not enc.value.hi < PI_UPPER_BOUND:
+        raise AssertionError("22/7 failed certification as upper bound")
     return True
 
 
@@ -200,8 +201,10 @@ def pi_witness(a: int, b: int, n_override: int | None = None,
     I_exact = PiRat({-2 * k: (-1) ** k * an * (at0[2 * k] + at1[2 * k])
                      for k in range(n + 1)})
     exps = I_exact.exponents
-    assert all(e % 2 == 0 for e in exps), "I must involve only even pi-powers"
-    assert all(-(2 * n + 2) <= e <= 2 for e in exps), "pi-exponent out of range"
+    if not all(e % 2 == 0 for e in exps):
+        raise AssertionError("I must involve only even pi-powers")
+    if not all(-(2 * n + 2) <= e <= 2 for e in exps):
+        raise AssertionError("pi-exponent out of range")
 
     digits = _pi_digits_up_front(I_exact, a, n)
     if digits > max_pi_digits:
@@ -211,20 +214,23 @@ def pi_witness(a: int, b: int, n_override: int | None = None,
 
     candidate = Fraction(a, b)
     N_direct = pirat_substitute_pi2(I_exact, candidate)
-    assert N_direct.denominator == 1, "N must be an exact integer"
+    if N_direct.denominator != 1:
+        raise AssertionError("N must be an exact integer")
 
     # g(0) is the constant coefficient and g(1) the coefficient sum.
     g = build_g(a, b, n)
     g0 = pirat_substitute_pi2(g.coeff(0), candidate)
     g1 = pirat_substitute_pi2(sum(g.coeffs, PiRat()), candidate)
-    assert g0.denominator == 1 and g1.denominator == 1, \
-        "g(0), g(1) must be integers under the substitution"
-    assert N_direct == g0 + g1, \
-        "central equality N = g(0)+g(1) failed between independent routes"
+    if g0.denominator != 1 or g1.denominator != 1:
+        raise AssertionError("g(0), g(1) must be integers under the substitution")
+    if N_direct != g0 + g1:
+        raise AssertionError(
+            "central equality N = g(0)+g(1) failed between independent routes")
     N = int(N_direct)
 
     upper_bound = PI_UPPER_BOUND * a ** n / factorial(n)
-    assert upper_bound < 1
+    if not upper_bound < 1:
+        raise AssertionError("upper bound pi·a^n/n! must be below 1")
 
     enclosure = pirat_eval_interval(I_exact, pi_enclosure(digits).value)
     if not (0 < enclosure.lo and enclosure.hi < upper_bound):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,8 @@ import pytest
 from irratio.cli import (parse_fraction, parse_interval_dict, run,
                          e_witness_report_dict, pi_witness_report_dict,
                          unlimited_int_str)
-from irratio import witness
-from irratio.numbers import RationalInterval
+from irratio import pi_engine, witness
+from irratio.numbers import RationalInterval, to_decimal
 from irratio.trigpoly import PiRat
 from irratio.witness import e_witness, pi_witness
 
@@ -79,6 +80,20 @@ class TestDigitsCommand:
     def test_cap_override_allows(self, capsys, monkeypatch):
         monkeypatch.setenv("IRRATIO_MAX_DIGITS", "40")
         assert run(["digits", "e", "--digits", "30"]) == 0
+
+    @pytest.mark.parametrize("method", ["archimedes", "cos-root"])
+    def test_slow_route_refused_at_cap(self, capsys, method):
+        start = time.perf_counter()
+        assert run(["digits", "pi", "--method", method, "--digits", "4096"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "limited to" in capsys.readouterr().err
+
+    def test_e_4096(self, capsys):
+        assert run(["digits", "e", "--digits", "4096"]) == 0
+        with mpmath.workdps(4120):
+            scaled = int(mpmath.floor(mpmath.e * mpmath.mpf(10) ** 4096))
+        text = str(scaled)
+        assert capsys.readouterr().out == f"{text[0]}.{text[1:]}…\n"
 
 
 class TestWitnessCommand:
@@ -189,6 +204,33 @@ class TestOtherCommands:
         assert len(lines) == 6  # header + doublings 0..4
         assert "96" in lines[-1]
 
+    def test_archimedes_table_one_run(self, capsys, monkeypatch):
+        starts = []
+        doublings = pi_engine._polygon_doublings
+
+        def counting(bits):
+            starts.append(bits)
+            return doublings(bits)
+
+        monkeypatch.setattr(pi_engine, "_polygon_doublings", counting)
+        assert run(["archimedes", "--doublings", "30", "--digits", "60"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(starts) == 1
+        assert len(lines) == 32
+        enc = pi_engine.archimedes_bounds(30, 60)
+        assert lines[-1].split() == [
+            str(6 * 2 ** 30), to_decimal(RationalInterval(enc.value.lo), 15),
+            to_decimal(RationalInterval(enc.value.hi), 15)]
+
+    def test_archimedes_digits_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("IRRATIO_MAX_DIGITS", "50")
+        start = time.perf_counter()
+        assert run(["archimedes", "--doublings", "3", "--digits", "4096"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceed cap 50" in captured.err
+
     def test_pascal(self, capsys):
         assert run(["pascal", "--rows", "5"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
@@ -209,6 +251,25 @@ class TestOtherCommands:
     def test_cf_e(self, capsys):
         assert run(["cf", "e", "--depth", "8"]) == 0
         assert "[2, 1, 2, 1, 1, 4, 1, 1]" in capsys.readouterr().out
+
+    def test_cf_e_depth_399(self, capsys):
+        # e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]: 1, 2k, 1 for k = 1, 2, ...
+        quotients = [2] + [q for k in range(1, 134) for q in (1, 2 * k, 1)][:398]
+        lines = [f"quotients: {quotients}"]
+        p, p_prev, q, q_prev = 1, 0, 0, 1
+        for a in quotients:
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+            whole, rem = divmod(p * 10 ** 12, q)
+            decimal = f"{whole // 10 ** 12}.{whole % 10 ** 12:012d}"
+            if rem:
+                decimal += "…"
+            else:
+                decimal = decimal.rstrip("0").rstrip(".")
+            lines.append(f"  {p}/{q} ≈ {decimal}")
+        lines.append("certified depth: 399")
+        assert run(["cf", "e", "--depth", "399"]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_check_identities(self, capsys):
         assert run(["check", "identities", "--max-n", "3"]) == 0

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irratio.numbers import (IntervalDomainError, RationalInterval, iv_sqrt,
                              to_decimal)
@@ -151,3 +153,88 @@ class TestToDecimal:
             ulp = F(1, 10 ** len(text.split(".")[1]))
             assert printed <= lo
             assert hi < printed + ulp
+
+
+def per_digit_to_decimal(x: RationalInterval, max_digits: int) -> str:
+    """Reference: the earlier to_decimal, one Fraction multiply, floor and
+    subtract per digit on both endpoints."""
+    lo, hi = x.lo, x.hi
+    if hi <= 0 and lo < 0:
+        return "-" + per_digit_to_decimal(RationalInterval(-hi, -lo), max_digits)
+    if lo < 0 < hi:
+        return "…"
+    ilo, ihi = lo.__floor__(), hi.__floor__()
+    if ilo != ihi:
+        return "…"
+    out = str(ilo)
+    rlo, rhi = lo - ilo, hi - ihi
+    if rlo == 0 and rhi == 0:
+        return out
+    digits = []
+    exact = False
+    for _ in range(max_digits):
+        rlo *= 10
+        rhi *= 10
+        dlo, dhi = rlo.__floor__(), rhi.__floor__()
+        if dlo != dhi:
+            break
+        digits.append(str(dlo))
+        rlo -= dlo
+        rhi -= dhi
+        if rlo == 0 and rhi == 0:
+            exact = True
+            break
+    if digits:
+        out += "." + "".join(digits)
+    return out if exact else out + "…"
+
+
+@st.composite
+def rational_intervals(draw):
+    """Negative, zero-straddling, point, terminating and narrow intervals,
+    with widths down to 10**-40."""
+    kind = draw(st.sampled_from(["point", "terminating", "narrow", "wide"]))
+    if kind == "terminating":
+        base = draw(st.sampled_from([2, 5, 10]))
+        lo = F(draw(st.integers(-10 ** 15, 10 ** 15)),
+               base ** draw(st.integers(0, 70)))
+        return RationalInterval(lo, lo)
+    lo = F(draw(st.integers(-10 ** 12, 10 ** 12)), draw(st.integers(1, 10 ** 12)))
+    if kind == "point":
+        return RationalInterval(lo, lo)
+    if kind == "narrow":
+        width = F(draw(st.integers(0, 1000)), 10 ** draw(st.integers(3, 40)))
+    else:
+        width = F(draw(st.integers(0, 10 ** 6)), draw(st.integers(1, 10 ** 3)))
+    return RationalInterval(lo, lo + width)
+
+
+class TestToDecimalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_intervals(), st.integers(1, 60))
+    def test_matches_per_digit_loop(self, x, max_digits):
+        assert to_decimal(x, max_digits) == per_digit_to_decimal(x, max_digits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_intervals(), st.integers(1, 60),
+           st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9))
+    def test_prints_a_prefix_of_every_member(self, x, max_digits, t):
+        v = x.lo + t * x.width
+        text = to_decimal(x, max_digits)
+        body = text.removesuffix("…")
+        if body.startswith("-"):
+            assert v <= 0
+            body, v = body[1:], -v
+        if not body:
+            return
+        k = len(body.partition(".")[2])
+        whole, frac = divmod((v * 10 ** k).__floor__(), 10 ** k)
+        assert body == (f"{whole}.{frac:0{k}d}" if k else str(whole))
+        if not text.endswith("…"):
+            assert x.lo == x.hi and v == Fraction(body)
+
+    def test_beyond_int_str_limit(self):
+        # 5000 digits of 1/7 render although a 5000-digit int->str
+        # conversion is over Python's limit
+        assert to_decimal(RationalInterval(F(1, 7)), 5000) == \
+            "0." + ("142857" * 834)[:5000] + "…"

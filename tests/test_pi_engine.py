@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import time
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from irratio import pi_engine
 from irratio.numbers import RationalInterval, iv_sqrt
-from irratio.pi_engine import (PrecisionExhausted, archimedes_bounds,
+from irratio.pi_engine import (ROUTE_MAX_DIGITS, PrecisionExhausted,
+                               archimedes_bounds, archimedes_table,
                                continued_fraction, pi_by_cos_root,
                                pi_enclosure, rhind_value)
 
@@ -64,6 +67,15 @@ class TestArchimedes:
             archimedes_bounds(61)
 
 
+class TestArchimedesTable:
+    @pytest.mark.parametrize("doublings, digits", [(10, 20), (30, 60), (6, 300)])
+    def test_rows_equal_bounds(self, doublings, digits):
+        table = archimedes_table(doublings, digits)
+        assert [enc.effort for enc in table] == list(range(doublings + 1))
+        for d, enc in enumerate(table):
+            assert enc == archimedes_bounds(d, digits)
+
+
 class TestArchimedesOnePass:
     @pytest.mark.parametrize("digits", [20, 51, 72])
     def test_width_overlap_and_one_pass(self, digits, monkeypatch):
@@ -95,6 +107,21 @@ class TestArchimedesOnePass:
                             lambda bits: doublings(bits // 3))
         with pytest.raises(PrecisionExhausted):
             pi_enclosure(51, "archimedes")
+
+
+class TestRouteLimits:
+    @pytest.mark.parametrize("method", sorted(ROUTE_MAX_DIGITS))
+    def test_refuses_before_any_work(self, method, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("route started past its digits limit")
+
+        monkeypatch.setattr(pi_engine, "iv_sqrt", unreachable)
+        monkeypatch.setattr(pi_engine, "cos_enclosure", unreachable)
+        for digits in (ROUTE_MAX_DIGITS[method] + 1, 4096):
+            start = time.perf_counter()
+            with pytest.raises(PrecisionExhausted, match="limited to"):
+                pi_enclosure(digits, method)
+            assert time.perf_counter() - start < 1
 
 
 class TestCrossMethod:
@@ -193,3 +220,83 @@ class TestContinuedFraction:
             cf = continued_fraction(RationalInterval(F(num, den)), 20)
             assert cf.partial_quotients == expected
             assert cf.convergents[-1] == F(num, den)
+
+
+def two_branch_continued_fraction(x: RationalInterval, max_depth: int) -> list[int]:
+    """Reference: the earlier continued_fraction, with a separate Euclidean
+    loop for point intervals and a Fraction Gauss map for proper ones."""
+    quotients: list[int] = []
+    lo, hi = x.lo, x.hi
+    if lo == hi:
+        r = lo
+        while len(quotients) < max_depth:
+            a = r.__floor__()
+            quotients.append(a)
+            r -= a
+            if r == 0:
+                break
+            r = 1 / r
+    else:
+        while len(quotients) < max_depth:
+            flo, fhi = lo.__floor__(), hi.__floor__()
+            if flo != fhi:
+                break
+            quotients.append(flo)
+            rlo, rhi = lo - flo, hi - fhi
+            if rlo == 0 or rhi == 0:
+                break
+            lo, hi = 1 / rhi, 1 / rlo
+    return quotients
+
+
+def euclid(v: Fraction) -> list[int]:
+    num, den = v.numerator, v.denominator
+    out = []
+    while den:
+        out.append(num // den)
+        num, den = den, num % den
+    return out
+
+
+def convergents_by_evaluation(quotients: list[int]) -> list[Fraction]:
+    """Each convergent evaluated from the innermost quotient outward."""
+    out = []
+    for k in range(1, len(quotients) + 1):
+        value = F(quotients[k - 1])
+        for a in reversed(quotients[:k - 1]):
+            value = a + 1 / value
+        out.append(value)
+    return out
+
+
+@st.composite
+def cf_intervals(draw):
+    """Points, near-points (width down to 10**-40) and wide intervals,
+    negative ones included."""
+    lo = F(draw(st.integers(-10 ** 30, 10 ** 30)), draw(st.integers(1, 10 ** 30)))
+    kind = draw(st.sampled_from(["point", "narrow", "wide"]))
+    if kind == "point":
+        width = F(0)
+    elif kind == "narrow":
+        width = F(draw(st.integers(0, 1000)), 10 ** draw(st.integers(3, 40)))
+    else:
+        width = F(draw(st.integers(0, 10 ** 6)), draw(st.integers(1, 10 ** 3)))
+    return RationalInterval(lo, lo + width)
+
+
+class TestContinuedFractionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(cf_intervals(), st.integers(1, 60))
+    def test_matches_two_branch_version(self, x, depth):
+        cf = continued_fraction(x, depth)
+        assert cf.partial_quotients == two_branch_continued_fraction(x, depth)
+        assert cf.certified_depth == len(cf.partial_quotients)
+        assert cf.convergents == convergents_by_evaluation(cf.partial_quotients)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cf_intervals(), st.integers(1, 60),
+           st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9))
+    def test_quotients_prefix_every_member(self, x, depth, t):
+        quotients = continued_fraction(x, depth).partial_quotients
+        for v in (x.lo, x.hi, x.lo + t * x.width):
+            assert euclid(v)[:len(quotients)] == quotients

@@ -250,3 +250,29 @@ class TestEWitness:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised: tail enclosure must lie in (0, 1/n)\n"
+
+
+class TestPiWitnessUnderO:
+    def test_checks_survive_python_O(self):
+        # negative control: g with 1 added to its constant coefficient must
+        # break the central equality even when python -O strips asserts
+        script = (
+            "assert False, 'assert statements are still active'\n"
+            "from irratio import witness\n"
+            "build_g = witness.build_g\n"
+            "def perturbed(a, b, n):\n"
+            "    g = build_g(a, b, n)\n"
+            "    return witness.PiPoly([g.coeff(0) + 1, *g.coeffs[1:]])\n"
+            "witness.build_g = perturbed\n"
+            "try:\n"
+            "    witness.pi_witness(5, 1)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n")
+        src = str(Path(witness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("raised: central equality N = g(0)+g(1) "
+                               "failed between independent routes\n")
