@@ -22,8 +22,8 @@ from .trigpoly import (PiPoly, PiRat, TrigPoly, antiderivative_p_sin,
                        definite_01, pirat_eval_interval, pirat_substitute_pi2,
                        trig_derivative)
 from .witness import (EWitnessReport, IdentityReport, PiWitnessReport,
-                      build_g, choose_niven_n, e_witness, pi_witness,
-                      verify_ode_identity)
+                      build_g, choose_niven_n, e_witness, niven_g_table,
+                      pi_witness, verify_ode_identity)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

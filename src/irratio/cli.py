@@ -181,6 +181,8 @@ def cmd_witness(args) -> int:
 def cmd_archimedes(args) -> int:
     if not 0 <= args.doublings <= 60:
         raise CliError("doublings must be between 0 and 60")
+    if args.digits < 1:
+        raise CliError("digits must be >= 1")
     if _over_digits_cap(args.digits):
         return EXIT_RESOURCE
     print(f"{'sides':>10} {'lower':>22} {'upper':>22}")

@@ -44,9 +44,10 @@ def binomial(n: int, k: int) -> int:
     if k > n:
         raise ValueError(f"binomial requires k <= n, got k={k}, n={n}")
     closed = factorial(n) // (factorial(n - k) * factorial(k))
-    assert closed * factorial(n - k) * factorial(k) == factorial(n), \
-        "closed-form binomial is not an integer"
-    assert closed == math.comb(n, k), "closed form and math.comb disagree"
+    if closed * factorial(n - k) * factorial(k) != factorial(n):
+        raise AssertionError("closed-form binomial is not an integer")
+    if closed != math.comb(n, k):
+        raise AssertionError("closed form and math.comb disagree")
     return closed
 
 
@@ -57,7 +58,8 @@ def binomial_expand(a: Fraction, b: Fraction, n: int) -> Fraction:
     a, b = Fraction(a), Fraction(b)
     total = sum((binomial(n, k) * a ** (n - k) * b ** k for k in range(n + 1)),
                 Fraction(0))
-    assert total == (a + b) ** n, "binomial expansion disagrees with direct power"
+    if total != (a + b) ** n:
+        raise AssertionError("binomial expansion disagrees with direct power")
     return total
 
 

@@ -100,7 +100,9 @@ def archimedes_table(doublings: int,
         raise ValueError("doublings must be between 0 and 60")
     if precision_digits is None:
         precision_digits = doublings + 12
-    bits = int(precision_digits * 3.33) + 16
+    if precision_digits < 1:
+        raise ValueError("precision_digits must be >= 1")
+    bits = 333 * precision_digits // 100 + 16
     rows = islice(_polygon_doublings(bits), doublings + 1)
     return [PiEnclosure(RationalInterval(b.lo, a.hi), "archimedes", k)
             for k, (b, a) in enumerate(rows)]

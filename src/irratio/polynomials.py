@@ -153,7 +153,9 @@ def niven_poly(n: int) -> Poly:
     for _ in range(n):
         q = q * one_minus_x
     direct = Poly.x_power(n) * q * Fraction(1, factorial(n))
-    assert p == direct, "closed-form Niven coefficients disagree with expansion"
+    if p != direct:
+        raise AssertionError(
+            "closed-form Niven coefficients disagree with expansion")
     return p
 
 
@@ -175,9 +177,11 @@ def niven_endpoint_derivatives(n: int) -> EndpointDerivatives:
     n <= l <= 2n, checked against the closed form C(n, l-n) (-1)^(n-l) l!/n!.
     """
     f = niven_poly(n)
-    assert f.degree == 2 * n, "Niven polynomial must have degree 2n"
+    if f.degree != 2 * n:
+        raise AssertionError("Niven polynomial must have degree 2n")
     refl = reflect(f)
-    assert refl == f, "Niven polynomial must be symmetric under x -> 1-x"
+    if refl != f:
+        raise AssertionError("Niven polynomial must be symmetric under x -> 1-x")
     at0: list[int] = []
     at1: list[int] = []
     for l in range(2 * n + 1):
@@ -186,13 +190,15 @@ def niven_endpoint_derivatives(n: int) -> EndpointDerivatives:
         if v0.denominator != 1 or v1.denominator != 1:
             raise AssertionError(
                 f"non-integral endpoint derivative at n={n}, l={l}")
-        if l < n:
-            assert v0 == 0, "derivatives below order n must vanish at 0"
+        if l < n and v0 != 0:
+            raise AssertionError("derivatives below order n must vanish at 0")
         if n <= l <= 2 * n:
             sign = -1 if (n - l) % 2 else 1
             closed = Fraction(binomial(n, l - n) * sign * factorial(l),
                               factorial(n))
-            assert v0 == closed, "endpoint derivative disagrees with closed form"
+            if v0 != closed:
+                raise AssertionError(
+                    "endpoint derivative disagrees with closed form")
         at0.append(int(v0))
         at1.append(int(v1))
     return EndpointDerivatives(at0, at1)

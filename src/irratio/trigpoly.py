@@ -235,8 +235,8 @@ def antiderivative_p_sin(p: PiPoly | Poly) -> TrigPoly:
         j += 1
     T = TrigPoly(sin_part, cos_part)
     check = trig_derivative(T)
-    assert check.sin_part == p and check.cos_part.is_zero, \
-        "antiderivative failed symbolic verification"
+    if check.sin_part != p or not check.cos_part.is_zero:
+        raise AssertionError("antiderivative failed symbolic verification")
     return T
 
 

@@ -16,6 +16,7 @@ sum_{j>=1} 1/((n+1)···(n+j)) inside (0, 1/n); no enclosure of e is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,8 +26,7 @@ from .numbers import RationalInterval
 from .pi_engine import PrecisionExhausted, pi_enclosure
 from .polynomials import niven_endpoint_derivatives, niven_poly, nth_derivative
 from .series import e_partial_sum, e_tail_enclosure
-from .trigpoly import (PiPoly, PiRat, TrigPoly, pirat_eval_interval,
-                       pirat_substitute_pi2, trig_derivative)
+from .trigpoly import PiPoly, PiRat, pirat_eval_interval, pirat_substitute_pi2
 
 CONTRADICTION = "CONTRADICTION"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -81,6 +81,64 @@ def build_g(a: int, b: int, n: int) -> PiPoly:
     return PiPoly(PiRat(t) for t in terms)
 
 
+# Integer coefficient table of a polynomial in x over Laurent polynomials
+# in the formal pi symbol: {(x-power, pi-exponent): numerator}, all on one
+# common denominator that the caller keeps.
+Table = dict[tuple[int, int], int]
+
+
+def _niven_numerators(n: int) -> list[int]:
+    """F = n!·f for the Niven polynomial f of index n, by the closed form
+    F_i = (-1)^(i-n)·C(n, i-n) for n <= i <= 2n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [0] * n + [(-1) ** j * math.comb(n, j) for j in range(n + 1)]
+
+
+def niven_g_table(b: int, n: int) -> Table:
+    """n!·g as an integer table, for build_g's g with f of index n.
+
+    F = n!·f is differentiated twice per step in integers, giving
+    n!·g = b**n · sum_k (-1)^k pi^(2n-2k) F^(2k): the (i, 2n-2k) entry is
+    (-1)^k b**n times the x**i coefficient of F^(2k).  The cost is
+    quadratic in n and no Fraction is formed.
+    """
+    bn = b ** n
+    F = _niven_numerators(n)
+    table: Table = {}
+    for k in range(n + 1):
+        scale = -bn if k % 2 else bn
+        for i, c in enumerate(F):
+            if c:
+                table[i, 2 * n - 2 * k] = scale * c
+        F = [i * (i - 1) * F[i] for i in range(2, len(F))]
+    return table
+
+
+def _d_dx(t: Table) -> Table:
+    return {(i - 1, e): i * c for (i, e), c in t.items() if i}
+
+
+def _times_pi(t: Table, k: int, s: int = 1) -> Table:
+    """s·pi**k·t."""
+    return {(i, e + k): s * c for (i, e), c in t.items()}
+
+
+def _plus(left: Table, right: Table) -> Table:
+    out = dict(left)
+    for key, c in right.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _first_mismatch(left: Table, right: Table, label: str):
+    """(label, x-power, pi-exponent) of the least x-power, then the least
+    pi-exponent, at which the tables differ; None when they are equal."""
+    keys = [key for key in left.keys() | right.keys()
+            if left.get(key, 0) != right.get(key, 0)]
+    return (label, *min(keys)) if keys else None
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Outcome of the exact symbolic identity checks behind the pi proof."""
@@ -95,41 +153,46 @@ class IdentityReport:
         return self.ode_ok and self.antiderivative_ok
 
 
-def _first_mismatch(left: PiPoly, right: PiPoly, label: str):
-    n = max(len(left.coeffs), len(right.coeffs))
-    for i in range(n):
-        cl, cr = left.coeff(i), right.coeff(i)
-        if cl != cr:
-            exps = sorted(set(cl.exponents) | set(cr.exponents))
-            for e in exps:
-                if cl.coeff(e) != cr.coeff(e):
-                    return (label, i, e)
-    return None
-
-
 def verify_ode_identity(a: int, b: int, n: int,
                         g_override: PiPoly | None = None) -> IdentityReport:
     """Check g'' + pi^2 g = b^n pi^(2n+2) f and the product/chain-rule
     identity (g' sin - pi·g cos)' = b^n pi^(2n+2) f sin, coefficient-wise.
 
-    g_override substitutes a (possibly perturbed) g, for negative controls.
+    Both sides are integer tables indexed by (x-power, pi-exponent) on one
+    common denominator D: D·g, and b^n·(D/n!)·F at pi^(2n+2) with
+    F = n!·f.  The default g is niven_g_table(b, n) on D = n!; g_override
+    substitutes a (possibly perturbed) PiPoly g, for negative controls,
+    and is converted once onto the least D that clears its denominators
+    and n!.  The derivative of T = g'·sin + (-pi·g)·cos is formed by the
+    rule (P sin + Q cos)' = (P' - pi·Q) sin + (Q' + pi·P) cos, whose sin
+    part must equal the right-hand side and whose cos part must vanish.
+    The first mismatch is the least x-power, then the least pi-exponent,
+    of the first identity that fails.  a does not enter: g and both
+    identities depend on b and n alone.
     """
-    f = niven_poly(n)
-    g = build_g(a, b, n) if g_override is None else g_override
-    rhs = PiPoly.from_poly(f, PiRat.term(b ** n, 2 * n + 2))
+    F = _niven_numerators(n)
+    fact = factorial(n)
+    if g_override is None:
+        den, g = fact, niven_g_table(b, n)
+    else:
+        terms = [(i, e, c) for i, r in enumerate(g_override.coeffs)
+                 for e, c in r.items()]
+        den = math.lcm(fact, *(c.denominator for _, _, c in terms))
+        g = {(i, e): c.numerator * (den // c.denominator) for i, e, c in terms}
+    scale = b ** n * (den // fact)
+    rhs = {(i, 2 * n + 2): scale * c for i, c in enumerate(F) if c}
 
-    lhs_ode = g.derivative().derivative() + g.scale(PiRat.term(1, 2))
-    mism = _first_mismatch(lhs_ode, rhs, "ode")
-    ode_ok = mism is None
+    dg = _d_dx(g)
+    mism = _first_mismatch(_plus(_d_dx(dg), _times_pi(g, 2)), rhs, "ode")
 
-    T = TrigPoly(g.derivative(), g.scale(PiRat.term(-1, 1)))
-    dT = trig_derivative(T)
-    mism2 = _first_mismatch(dT.sin_part, rhs, "antiderivative-sin")
-    if mism2 is None and not dT.cos_part.is_zero:
-        mism2 = _first_mismatch(dT.cos_part, PiPoly(), "antiderivative-cos")
-    anti_ok = mism2 is None
+    P, Q = dg, _times_pi(g, 1, -1)
+    mism2 = _first_mismatch(_plus(_d_dx(P), _times_pi(Q, 1, -1)), rhs,
+                            "antiderivative-sin")
+    if mism2 is None:
+        mism2 = _first_mismatch(_plus(_d_dx(Q), _times_pi(P, 1)), {},
+                                "antiderivative-cos")
 
-    return IdentityReport(n, ode_ok, anti_ok, mism or mism2)
+    return IdentityReport(n, mism is None, mism2 is None, mism or mism2)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from irratio.cli import (parse_fraction, parse_interval_dict, run,
                          e_witness_report_dict, pi_witness_report_dict,
                          unlimited_int_str)
-from irratio import pi_engine, witness
+from irratio import pi_engine, polynomials, trigpoly, witness
 from irratio.numbers import RationalInterval, to_decimal
 from irratio.trigpoly import PiRat
 from irratio.witness import e_witness, pi_witness
@@ -222,6 +222,13 @@ class TestOtherCommands:
             str(6 * 2 ** 30), to_decimal(RationalInterval(enc.value.lo), 15),
             to_decimal(RationalInterval(enc.value.hi), 15)]
 
+    @pytest.mark.parametrize("digits", ["0", "-4", "-5"])
+    def test_archimedes_digits_below_one(self, capsys, digits):
+        assert run(["archimedes", "--doublings", "2", "--digits", digits]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "digits must be >= 1" in captured.err
+
     def test_archimedes_digits_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("IRRATIO_MAX_DIGITS", "50")
         start = time.perf_counter()
@@ -275,6 +282,35 @@ class TestOtherCommands:
         assert run(["check", "identities", "--max-n", "3"]) == 0
         out = capsys.readouterr().out
         assert out.count("pass") == 3
+
+    def test_check_identities_builds_niven_once_per_n(self, capsys,
+                                                      monkeypatch):
+        builds = []
+        niven_poly = polynomials.niven_poly
+
+        def counting(n):
+            builds.append(n)
+            return niven_poly(n)
+
+        def off_path(*args, **kwargs):
+            raise AssertionError("not on the check identities path")
+
+        for module in (polynomials, witness):
+            monkeypatch.setattr(module, "niven_poly", counting)
+        monkeypatch.setattr(witness, "build_g", off_path)
+        monkeypatch.setattr(trigpoly, "trig_derivative", off_path)
+        assert run(["check", "identities", "--max-n", "12"]) == 0
+        assert capsys.readouterr().out.count("pass") == 12
+        assert builds == list(range(1, 13))
+
+    def test_check_identities_max_n_60(self, capsys):
+        start = time.perf_counter()
+        assert run(["check", "identities", "--max-n", "60"]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out.splitlines() == [
+            f"n={n}: differential identity pass; endpoint derivatives integral"
+            for n in range(1, 61)]
+        assert elapsed < 10
 
     def test_check_squeeze(self, capsys):
         assert run(["check", "squeeze", "--h", "1/2"]) == 0

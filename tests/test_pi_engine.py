@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import time
 
@@ -74,6 +75,21 @@ class TestArchimedesTable:
         assert [enc.effort for enc in table] == list(range(doublings + 1))
         for d, enc in enumerate(table):
             assert enc == archimedes_bounds(d, digits)
+
+    def test_integer_bit_sizing_keeps_rows(self):
+        # reference: the rows at the former float sizing int(3.33·d) + 16
+        for digits in range(1, 61):
+            rows = islice(pi_engine._polygon_doublings(int(digits * 3.33) + 16),
+                          11)
+            assert archimedes_table(10, digits) == [
+                pi_engine.PiEnclosure(RationalInterval(b.lo, a.hi),
+                                      "archimedes", k)
+                for k, (b, a) in enumerate(rows)]
+
+    @pytest.mark.parametrize("digits", [0, -4, -5])
+    def test_rejects_digits_below_one(self, digits):
+        with pytest.raises(ValueError):
+            archimedes_table(2, digits)
 
 
 class TestArchimedesOnePass:

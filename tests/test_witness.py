@@ -13,12 +13,58 @@ from irratio import witness
 from irratio.combinatorics import factorial
 from irratio.pi_engine import PrecisionExhausted, pi_enclosure
 from irratio.polynomials import niven_poly, nth_derivative
-from irratio.trigpoly import (PiPoly, PiRat, antiderivative_p_sin,
-                              definite_01, pirat_substitute_pi2)
-from irratio.witness import (CONTRADICTION, build_g, choose_niven_n,
-                             e_witness, pi_witness, verify_ode_identity)
+from irratio.trigpoly import (PiPoly, PiRat, TrigPoly, antiderivative_p_sin,
+                              definite_01, pirat_substitute_pi2,
+                              trig_derivative)
+from irratio.witness import (CONTRADICTION, IdentityReport, build_g,
+                             choose_niven_n, e_witness, niven_g_table,
+                             pi_witness, verify_ode_identity)
 
 F = Fraction
+
+
+def _reference_first_mismatch(left: PiPoly, right: PiPoly, label: str):
+    n = max(len(left.coeffs), len(right.coeffs))
+    for i in range(n):
+        cl, cr = left.coeff(i), right.coeff(i)
+        if cl != cr:
+            exps = sorted(set(cl.exponents) | set(cr.exponents))
+            for e in exps:
+                if cl.coeff(e) != cr.coeff(e):
+                    return (label, i, e)
+    return None
+
+
+def reference_verify_ode_identity(a: int, b: int, n: int,
+                                  g_override: PiPoly | None = None):
+    """The identity checks in the PiPoly/TrigPoly ring: the symbolic
+    reference for verify_ode_identity's integer tables."""
+    f = niven_poly(n)
+    g = build_g(a, b, n) if g_override is None else g_override
+    rhs = PiPoly.from_poly(f, PiRat.term(b ** n, 2 * n + 2))
+
+    lhs_ode = g.derivative().derivative() + g.scale(PiRat.term(1, 2))
+    mism = _reference_first_mismatch(lhs_ode, rhs, "ode")
+    ode_ok = mism is None
+
+    T = TrigPoly(g.derivative(), g.scale(PiRat.term(-1, 1)))
+    dT = trig_derivative(T)
+    mism2 = _reference_first_mismatch(dT.sin_part, rhs, "antiderivative-sin")
+    if mism2 is None and not dT.cos_part.is_zero:
+        mism2 = _reference_first_mismatch(dT.cos_part, PiPoly(),
+                                          "antiderivative-cos")
+    anti_ok = mism2 is None
+
+    return IdentityReport(n, ode_ok, anti_ok, mism or mism2)
+
+
+def run_under_O(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh `python -O` with irratio importable."""
+    src = str(Path(witness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def closed_form_N(a: int, b: int, n: int) -> int:
@@ -89,10 +135,50 @@ class TestBuildG:
         assert pirat_substitute_pi2(g(0), F(7, 4)) == 8  # 2b
 
 
+class TestNivenGTable:
+    @pytest.mark.parametrize("b", [1, 2, 7])
+    def test_is_n_factorial_times_build_g(self, b):
+        for n in range(1, 16):
+            table = niven_g_table(b, n)
+            assert all(table.values())
+            assert table == {
+                (i, e): c * factorial(n)
+                for i, r in enumerate(build_g(1, b, n).coeffs)
+                for e, c in r.items()}
+
+    def test_n1_by_hand(self):
+        # 1!·g = b·(Pi^2 (x - x^2) + 2) for f = x - x^2
+        assert niven_g_table(3, 1) == {(0, 0): 6, (1, 2): 3, (2, 2): -3}
+
+    def test_invalid_n(self):
+        with pytest.raises(ValueError):
+            niven_g_table(1, 0)
+
+
 class TestOdeIdentity:
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 61))
     def test_passes(self, n):
         assert verify_ode_identity(1, 1, n).passed
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 12), a=st.integers(1, 50), b=st.integers(1, 50),
+           perturb=st.booleans(), data=st.data())
+    def test_equals_reference(self, n, a, b, perturb, data):
+        g = None
+        if perturb:
+            # one coefficient changed, at any x-power up to past deg g and
+            # any pi-exponent, odd and negative ones included
+            g = build_g(a, b, n)
+            i = data.draw(st.integers(0, 2 * n + 3), label="x-power")
+            e = data.draw(st.integers(-3, 2 * n + 5), label="pi-exponent")
+            delta = data.draw(st.fractions(max_denominator=30).filter(bool),
+                              label="delta")
+            coeffs = list(g.coeffs) + [PiRat()] * (i + 1 - len(g.coeffs))
+            coeffs[i] = coeffs[i] + PiRat.term(delta, e)
+            g = PiPoly(coeffs)
+        report = verify_ode_identity(a, b, n, g_override=g)
+        assert report == reference_verify_ode_identity(a, b, n, g_override=g)
+        assert report.passed == (not perturb)
 
     def test_other_candidates(self):
         assert verify_ode_identity(5, 3, 4).passed
@@ -106,6 +192,7 @@ class TestOdeIdentity:
         report = verify_ode_identity(1, 1, n, g_override=g - term)
         assert not report.passed
         assert report.first_mismatch is not None
+        assert report == reference_verify_ode_identity(1, 1, n, g - term)
 
     def test_identity_at_zero(self):
         # specialization x=0: g''(0) + Pi^2 g(0) = b^n Pi^(2n+2) f(0) = 0
@@ -243,11 +330,7 @@ class TestEWitness:
             "    witness.e_witness(3, 1)\n"
             "except AssertionError as exc:\n"
             "    print('raised:', exc)\n")
-        src = str(Path(witness.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = run_under_O(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised: tail enclosure must lie in (0, 1/n)\n"
 
@@ -268,11 +351,30 @@ class TestPiWitnessUnderO:
             "    witness.pi_witness(5, 1)\n"
             "except AssertionError as exc:\n"
             "    print('raised:', exc)\n")
-        src = str(Path(witness.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = run_under_O(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ("raised: central equality N = g(0)+g(1) "
                                "failed between independent routes\n")
+
+
+class TestEndpointTablesUnderO:
+    def test_checks_survive_python_O(self):
+        # negative control: a reflection that breaks the symmetry
+        # f(1-x) = f(x) must make the endpoint tables raise even when
+        # python -O strips assert statements
+        script = (
+            "assert False, 'assert statements are still active'\n"
+            "from irratio import polynomials\n"
+            "reflect = polynomials.reflect\n"
+            "def perturbed(p):\n"
+            "    q = reflect(p)\n"
+            "    return polynomials.Poly([q.coeff(0) + 1, *q.coeffs[1:]])\n"
+            "polynomials.reflect = perturbed\n"
+            "try:\n"
+            "    polynomials.niven_endpoint_derivatives(3)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n")
+        proc = run_under_O(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("raised: Niven polynomial must be symmetric "
+                               "under x -> 1-x\n")
