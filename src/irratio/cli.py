@@ -185,8 +185,9 @@ def cmd_archimedes(args) -> int:
         raise CliError("digits must be >= 1")
     if _over_digits_cap(args.digits):
         return EXIT_RESOURCE
+    table = pi_engine.archimedes_table(args.doublings, args.digits)
     print(f"{'sides':>10} {'lower':>22} {'upper':>22}")
-    for enc in pi_engine.archimedes_table(args.doublings, args.digits):
+    for enc in table:
         sides = 6 * 2 ** enc.effort
         print(f"{sides:>10} {to_decimal(RationalInterval(enc.value.lo), 15):>22}"
               f" {to_decimal(RationalInterval(enc.value.hi), 15):>22}")

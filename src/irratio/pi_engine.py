@@ -30,6 +30,13 @@ class PrecisionExhausted(RuntimeError):
 ROUTE_MAX_DIGITS = {"archimedes": 300, "cos-root": 120}
 
 
+def _check_route_limit(method: str, precision_digits: int) -> None:
+    if precision_digits > ROUTE_MAX_DIGITS[method]:
+        raise PrecisionExhausted(
+            f"method {method} is limited to {ROUTE_MAX_DIGITS[method]} "
+            f"digits, {precision_digits} requested")
+
+
 @dataclass(frozen=True)
 class PiEnclosure:
     value: RationalInterval
@@ -95,6 +102,9 @@ def archimedes_table(doublings: int,
     Each doubling replaces the circumscribed value by the harmonic mean and
     the inscribed one by the geometric mean, with outward-rounded square
     roots, so every row [inscribed.lo, circumscribed.hi] contains pi.
+    Above ROUTE_MAX_DIGITS["archimedes"] digits, the limit of the polygon
+    route of pi_enclosure, PrecisionExhausted is raised before the first
+    square root.
     """
     if not 0 <= doublings <= 60:
         raise ValueError("doublings must be between 0 and 60")
@@ -102,6 +112,7 @@ def archimedes_table(doublings: int,
         precision_digits = doublings + 12
     if precision_digits < 1:
         raise ValueError("precision_digits must be >= 1")
+    _check_route_limit("archimedes", precision_digits)
     bits = 333 * precision_digits // 100 + 16
     rows = islice(_polygon_doublings(bits), doublings + 1)
     return [PiEnclosure(RationalInterval(b.lo, a.hi), "archimedes", k)
@@ -174,10 +185,7 @@ def pi_enclosure(precision_digits: int, method: str = "machin") -> PiEnclosure:
         return _pi_by_machin(precision_digits)
     if method not in ROUTE_MAX_DIGITS:
         raise ValueError(f"unknown method {method!r}")
-    if precision_digits > ROUTE_MAX_DIGITS[method]:
-        raise PrecisionExhausted(
-            f"method {method} is limited to {ROUTE_MAX_DIGITS[method]} "
-            f"digits, {precision_digits} requested")
+    _check_route_limit(method, precision_digits)
     if method == "cos-root":
         return pi_by_cos_root(precision_digits)
     target = Fraction(1, 10 ** precision_digits)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .combinatorics import binomial, factorial
@@ -121,18 +122,34 @@ def nth_derivative(p: Poly, l: int) -> Poly:
     return p
 
 
-def reflect(p: Poly) -> Poly:
-    """q with q(x) = p(1-x): q_j = (-1)^j Σ_{i>=j} C(i, j)·c_i.
+def reflect_integers(cs: list[int]) -> list[int]:
+    """q with q(x) = p(1-x) for p = Σ cs[i]·x**i, in integers.
 
-    The sums run over integer numerators on the common denominator of the
-    c_i, so the cost is quadratic in the degree with one Fraction per q_j.
+    q_j = (-1)^j Σ_{i>=j} C(i, j)·c_i, formed without a binomial: a Taylor
+    shift by 1 (p(x+1), by deg p passes of running sums, each the Horner
+    step of one division by x-1) and then the signs of x -> -x.
     """
+    r = list(reversed(cs))
+    for top in range(len(r), 1, -1):
+        r[:top] = accumulate(r[:top])
+    return [-c if j % 2 else c for j, c in enumerate(reversed(r))]
+
+
+def reflect(p: Poly) -> Poly:
+    """q with q(x) = p(1-x): reflect_integers on the numerators of the c_i
+    over their common denominator, with one Fraction per q_j."""
     cs = p.coeffs
     den = math.lcm(*(c.denominator for c in cs))
     nums = [c.numerator * (den // c.denominator) for c in cs]
-    return Poly(Fraction((-1) ** j * sum(math.comb(i, j) * nums[i]
-                                         for i in range(j, len(cs))), den)
-                for j in range(len(cs)))
+    return Poly(Fraction(q, den) for q in reflect_integers(nums))
+
+
+def niven_numerators(n: int) -> list[int]:
+    """F = n!·f for the Niven polynomial f of index n, by the closed form
+    F_i = (-1)^(i-n)·C(n, i-n) for n <= i <= 2n and F_i = 0 below n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [0] * n + [(-1) ** j * math.comb(n, j) for j in range(n + 1)]
 
 
 def niven_poly(n: int) -> Poly:
@@ -168,37 +185,47 @@ class EndpointDerivatives:
 
 
 def niven_endpoint_derivatives(n: int) -> EndpointDerivatives:
-    """Endpoint derivative tables of the Niven polynomial.
+    """Endpoint derivative tables of the Niven polynomial, in integers.
 
-    f^(l)(0) = l! * coeff_l; values at 1 come from the reflection
-    f(1-x) = f(x) with the chain-rule sign (-1)^l.  f is checked to have
-    degree 2n, so f^(l) = 0 for l > 2n and the tables hold every non-zero
-    derivative.  Every value is checked to be an integer and, for
-    n <= l <= 2n, checked against the closed form C(n, l-n) (-1)^(n-l) l!/n!.
+    F = niven_numerators(n) is checked against the expansion of
+    x^n (1-x)^n by n products with 1-x and to have degree 2n, so
+    f^(l) = 0 for l > 2n and the tables hold every non-zero derivative.
+    Its reflection R (F(1-x) = R(x), by reflect_integers) is checked to
+    equal F.  Then f^(l)(0) = l!·F_l/n! and, by the chain-rule sign,
+    f^(l)(1) = (-1)^l·l!·R_l/n!; each division is checked to be exact.
+    Values below order n are checked to vanish at 0, and for n <= l <= 2n
+    checked against the closed form C(n, l-n)·(-1)^(n-l)·l!/n!.  No
+    Fraction is formed.
     """
-    f = niven_poly(n)
-    if f.degree != 2 * n:
+    F = niven_numerators(n)
+    expansion = [1]
+    for _ in range(n):
+        expansion = [c - d for c, d in zip(expansion + [0], [0] + expansion)]
+    if F != [0] * n + expansion:
+        raise AssertionError(
+            "closed-form Niven coefficients disagree with expansion")
+    if len(F) != 2 * n + 1 or F[-1] == 0:
         raise AssertionError("Niven polynomial must have degree 2n")
-    refl = reflect(f)
-    if refl != f:
+    R = reflect_integers(F)
+    if R != F:
         raise AssertionError("Niven polynomial must be symmetric under x -> 1-x")
+    fact_n = factorial(n)
+    fact_l = 1
     at0: list[int] = []
     at1: list[int] = []
     for l in range(2 * n + 1):
-        v0 = factorial(l) * f.coeff(l)
-        v1 = (-1) ** l * factorial(l) * refl.coeff(l)
-        if v0.denominator != 1 or v1.denominator != 1:
+        if l:
+            fact_l *= l
+        v0, rem0 = divmod(fact_l * F[l], fact_n)
+        v1, rem1 = divmod((-1) ** l * fact_l * R[l], fact_n)
+        if rem0 or rem1:
             raise AssertionError(
                 f"non-integral endpoint derivative at n={n}, l={l}")
         if l < n and v0 != 0:
             raise AssertionError("derivatives below order n must vanish at 0")
-        if n <= l <= 2 * n:
-            sign = -1 if (n - l) % 2 else 1
-            closed = Fraction(binomial(n, l - n) * sign * factorial(l),
-                              factorial(n))
-            if v0 != closed:
-                raise AssertionError(
-                    "endpoint derivative disagrees with closed form")
-        at0.append(int(v0))
-        at1.append(int(v1))
+        if l >= n and v0 * fact_n != (
+                (-1) ** (l - n) * binomial(n, l - n) * fact_l):
+            raise AssertionError("endpoint derivative disagrees with closed form")
+        at0.append(v0)
+        at1.append(v1)
     return EndpointDerivatives(at0, at1)

@@ -24,7 +24,8 @@ from functools import lru_cache
 from .combinatorics import dominance_index, factorial
 from .numbers import RationalInterval
 from .pi_engine import PrecisionExhausted, pi_enclosure
-from .polynomials import niven_endpoint_derivatives, niven_poly, nth_derivative
+from .polynomials import (niven_endpoint_derivatives, niven_numerators,
+                          niven_poly, nth_derivative)
 from .series import e_partial_sum, e_tail_enclosure
 from .trigpoly import PiPoly, PiRat, pirat_eval_interval, pirat_substitute_pi2
 
@@ -87,14 +88,6 @@ def build_g(a: int, b: int, n: int) -> PiPoly:
 Table = dict[tuple[int, int], int]
 
 
-def _niven_numerators(n: int) -> list[int]:
-    """F = n!·f for the Niven polynomial f of index n, by the closed form
-    F_i = (-1)^(i-n)·C(n, i-n) for n <= i <= 2n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [0] * n + [(-1) ** j * math.comb(n, j) for j in range(n + 1)]
-
-
 def niven_g_table(b: int, n: int) -> Table:
     """n!·g as an integer table, for build_g's g with f of index n.
 
@@ -104,7 +97,7 @@ def niven_g_table(b: int, n: int) -> Table:
     quadratic in n and no Fraction is formed.
     """
     bn = b ** n
-    F = _niven_numerators(n)
+    F = niven_numerators(n)
     table: Table = {}
     for k in range(n + 1):
         scale = -bn if k % 2 else bn
@@ -170,7 +163,7 @@ def verify_ode_identity(a: int, b: int, n: int,
     of the first identity that fails.  a does not enter: g and both
     identities depend on b and n alone.
     """
-    F = _niven_numerators(n)
+    F = niven_numerators(n)
     fact = factorial(n)
     if g_override is None:
         den, g = fact, niven_g_table(b, n)

@@ -238,6 +238,20 @@ class TestOtherCommands:
         assert captured.out == ""
         assert "exceed cap 50" in captured.err
 
+    def test_archimedes_route_limit(self, capsys):
+        # IRRATIO_MAX_DIGITS admits 4096, but the polygon route stops at
+        # ROUTE_MAX_DIGITS["archimedes"] before any square root or output
+        start = time.perf_counter()
+        assert run(["archimedes", "--doublings", "60", "--digits", "4096"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limited to 300 digits" in captured.err
+
+    def test_archimedes_at_route_limit(self, capsys):
+        assert run(["archimedes", "--doublings", "60", "--digits", "300"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 62
+
     def test_pascal(self, capsys):
         assert run(["pascal", "--rows", "5"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
@@ -283,8 +297,9 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert out.count("pass") == 3
 
-    def test_check_identities_builds_niven_once_per_n(self, capsys,
-                                                      monkeypatch):
+    def test_check_identities_builds_no_niven_poly(self, capsys, monkeypatch):
+        # the endpoint tables and both identities run on integer tables of
+        # n!·f, so no Fraction Niven polynomial is built on this path
         builds = []
         niven_poly = polynomials.niven_poly
 
@@ -301,7 +316,7 @@ class TestOtherCommands:
         monkeypatch.setattr(trigpoly, "trig_derivative", off_path)
         assert run(["check", "identities", "--max-n", "12"]) == 0
         assert capsys.readouterr().out.count("pass") == 12
-        assert builds == list(range(1, 13))
+        assert builds == []
 
     def test_check_identities_max_n_60(self, capsys):
         start = time.perf_counter()
@@ -310,6 +325,15 @@ class TestOtherCommands:
         assert capsys.readouterr().out.splitlines() == [
             f"n={n}: differential identity pass; endpoint derivatives integral"
             for n in range(1, 61)]
+        assert elapsed < 10
+
+    def test_check_identities_max_n_100(self, capsys):
+        start = time.perf_counter()
+        assert run(["check", "identities", "--max-n", "100"]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out.splitlines() == [
+            f"n={n}: differential identity pass; endpoint derivatives integral"
+            for n in range(1, 101)]
         assert elapsed < 10
 
     def test_check_squeeze(self, capsys):

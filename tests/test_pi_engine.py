@@ -139,6 +139,15 @@ class TestRouteLimits:
                 pi_enclosure(digits, method)
             assert time.perf_counter() - start < 1
 
+    def test_table_refuses_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("table started past its digits limit")
+
+        monkeypatch.setattr(pi_engine, "iv_sqrt", unreachable)
+        for digits in (ROUTE_MAX_DIGITS["archimedes"] + 1, 4096):
+            with pytest.raises(PrecisionExhausted, match="limited to 300"):
+                archimedes_table(60, digits)
+
 
 class TestCrossMethod:
     @pytest.mark.parametrize("digits", [4, 8, 12])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irratio.combinatorics import binomial, factorial
-from irratio.polynomials import (Poly, derivative, niven_endpoint_derivatives,
-                                 niven_poly, nth_derivative, reflect)
+from irratio.polynomials import (EndpointDerivatives, Poly, derivative,
+                                 niven_endpoint_derivatives, niven_poly,
+                                 nth_derivative, reflect, reflect_integers)
 
 F = Fraction
 
 rationals = st.fractions(max_denominator=10 ** 6)
 polys = st.lists(rationals, max_size=40).map(Poly)
+
+
+def comb_reflect(cs: list) -> list:
+    """q_j = (-1)^j Σ_{i>=j} C(i, j)·c_i, the reflection x -> 1-x by
+    binomial sums."""
+    return [(-1) ** j * sum(math.comb(i, j) * cs[i] for i in range(j, len(cs)))
+            for j in range(len(cs))]
+
+
+def reference_endpoint_derivatives(n: int) -> EndpointDerivatives:
+    """The endpoint tables from the Fraction Niven polynomial, reflected by
+    binomial sums, with every check of niven_endpoint_derivatives."""
+    f = niven_poly(n)
+    assert f.degree == 2 * n
+    refl = Poly(comb_reflect(list(f.coeffs)))
+    assert refl == f
+    at0, at1 = [], []
+    for l in range(2 * n + 1):
+        v0 = factorial(l) * f.coeff(l)
+        v1 = (-1) ** l * factorial(l) * refl.coeff(l)
+        assert v0.denominator == 1 and v1.denominator == 1
+        if l < n:
+            assert v0 == 0
+        else:
+            sign = -1 if (n - l) % 2 else 1
+            assert v0 == F(binomial(n, l - n) * sign * factorial(l),
+                           factorial(n))
+        at0.append(int(v0))
+        at1.append(int(v1))
+    return EndpointDerivatives(at0, at1)
 
 
 class TestEval:
@@ -80,6 +112,13 @@ class TestReflect:
         assert reflect(p)(x) == p(1 - x)
 
 
+class TestReflectIntegers:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=60))
+    def test_equals_binomial_sums(self, cs):
+        assert reflect_integers(cs) == comb_reflect(cs)
+
+
 class TestNivenPoly:
     def test_n1(self):
         assert niven_poly(1) == Poly([0, 1, -1])
@@ -131,3 +170,10 @@ class TestEndpointDerivatives:
                     closed = F(binomial(n, l - n) * sign * factorial(l),
                                factorial(n))
                     assert d.at0[l] == closed
+
+
+class TestEndpointDerivativesReference:
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 80))
+    def test_equals_fraction_reference(self, n):
+        assert niven_endpoint_derivatives(n) == reference_endpoint_derivatives(n)

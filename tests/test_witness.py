@@ -365,11 +365,11 @@ class TestEndpointTablesUnderO:
         script = (
             "assert False, 'assert statements are still active'\n"
             "from irratio import polynomials\n"
-            "reflect = polynomials.reflect\n"
-            "def perturbed(p):\n"
-            "    q = reflect(p)\n"
-            "    return polynomials.Poly([q.coeff(0) + 1, *q.coeffs[1:]])\n"
-            "polynomials.reflect = perturbed\n"
+            "reflect = polynomials.reflect_integers\n"
+            "def perturbed(cs):\n"
+            "    q = reflect(cs)\n"
+            "    return [q[0] + 1, *q[1:]]\n"
+            "polynomials.reflect_integers = perturbed\n"
             "try:\n"
             "    polynomials.niven_endpoint_derivatives(3)\n"
             "except AssertionError as exc:\n"
